@@ -6,21 +6,20 @@ from .fock import (BeamSplitterUnitary, BipartiteDensity, ChannelSpec,
                    DiagonalOperator, NormalizationError, PureStateVector,
                    TruncationError, apply_diagonal, apply_loss,
                    attenuator_diagonal, beam_splitter_unitary, coherent_state,
-                   identity_diagonal, log_negativity, loss_kraus_operators,
-                   negativity, partial_transpose, squeezing_from_db,
-                   squeezing_to_db, tmsv_density, tmsv_schmidt,
-                   transmissivity_from_db, vacuum_projection_diagonal)
+                   log_negativity, loss_kraus_operators, negativity,
+                   partial_transpose, squeezing_from_db, squeezing_to_db,
+                   tmsv_density, tmsv_schmidt, transmissivity_from_db,
+                   vacuum_projection_diagonal)
 from .nla import (AmplifyResult, NlaSpec, amplify_coherent,
                   cascaded_pc_diagonal, equal_gain_transmissivity,
                   fidelity_to_coherent, nla_diagonal, pc_gain,
                   pc_nla_diagonal, qs_gain, qs_nla_diagonal,
                   single_pc_diagonal)
 from .distill import (DistillResult, DistillScenario, PdcSpec,
-                      build_pdc, cascade_compare, distill,
-                      lossy_pdc_densities, reference_no_nla,
-                      scenario_lambdas)
-from .optimize import (InfeasibleError, SweepConfig, SweepResult,
-                       max_fidelity_profile, max_success_given_fidelity,
-                       maximize_over_T, maximize_total_logneg)
+                      cascade_compare, distill, lossy_pdc_densities,
+                      reference_no_nla, scenario_lambdas)
+from .optimize import (InfeasibleError, SweepConfig, max_fidelity_profile,
+                       max_success_given_fidelity, maximize_over_T,
+                       maximize_total_logneg)
 
 __version__ = "0.1.0"

@@ -10,9 +10,9 @@ Subcommands
 ``sweep``            raw (T, log-negativity, success) grid for one scenario point.
 ``verify``           circuit-oracle self-checks with a pass/fail report.
 
-Config files are JSON objects.  Unknown keys are rejected; ``--out``,
-``--format`` and ``--workers`` override their config counterparts.  All keys
-except the grids have defaults:
+Config files are JSON objects.  Unknown keys and out-of-range values are
+rejected before any work starts; ``--out``, ``--format`` and ``--workers``
+override their config counterparts.  All keys except the grids have defaults:
 
     {"experiment": "distill",            # optional, must match the subcommand
      "out": "rows.csv", "format": "csv", # or "jsonl"
@@ -21,7 +21,6 @@ except the grids have defaults:
      "optimizer": {"grid_points": 60, "t_min": 1e-4, "t_max": 0.9999,
                    "refine_tolerance": 1e-6},
      "scenario": 1, "r1_db": 5.0, "k_modes": 5, "decay": 0.6,
-     "normalization": "sum_squares",
      "attenuations_db": [0, 5, 10], "kinds": ["QS", "PC"], "n_units": [2],
      "strategy": "unfiltered", "amplified_index": 1}
 
@@ -43,6 +42,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from . import fock, nla, oracle
 from .distill import (DistillScenario, PdcSpec, apply_strategy,
                       cascade_compare, lossy_pdc_densities, reference_no_nla)
 from .fock import (ChannelSpec, NormalizationError, TruncationError,
-                   squeezing_from_db, transmissivity_from_db)
+                   squeezing_from_db)
 from .nla import VALID_KINDS, NlaSpec
 from .optimize import (InfeasibleError, SweepConfig, max_fidelity_profile,
                        maximize_total_logneg)
@@ -80,24 +80,13 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config validation: one key -> (parser, default) table per experiment.  The
+# parsers check types only; validate_config then builds the domain objects
+# once, so their constructors' range rules apply before any work, and hands
+# them to the runners: params["optimizer"] is a SweepConfig and, for distill
+# and sweep, params["points"] holds one DistillScenario per output row.
 
-_COMMON_KEYS = {"experiment", "out", "format", "workers", "n_max", "optimizer"}
-_EXPERIMENT_KEYS = {
-    "amplify": {"alphas", "target_gains", "n_units", "kinds"},
-    "distill": {"scenario", "r1_db", "k_modes", "decay", "normalization",
-                "attenuations_db", "kinds", "n_units", "strategy",
-                "amplified_index"},
-    "cascade-compare": {"r_db", "n_units"},
-    "sweep": {"scenario", "r1_db", "k_modes", "decay", "normalization",
-              "attenuation_db", "kind", "n_units", "strategy",
-              "amplified_index"},
-    "verify": {"tolerance", "checks"},
-}
-_OPTIMIZER_KEYS = {"t_min", "t_max", "grid_points", "refine_tolerance",
-                   "n_range"}
-_DEFAULT_N_MAX = {"amplify": 30, "distill": 20, "cascade-compare": 25,
-                  "sweep": 20, "verify": 0}
+_ABSENT = object()      # default of an optional key that has none
 
 
 def _fail(where: str, message: str):
@@ -120,73 +109,103 @@ def _integer(raw, where: str, minimum: int = 1) -> int:
     return raw
 
 
-def _number_grid(raw, where: str) -> tuple:
-    if not isinstance(raw, list) or not raw:
-        _fail(where, "expected a non-empty list of numbers")
-    return tuple(sorted({_number(v, where) for v in raw}))
+def _grid(item, key=None):
+    """Non-empty list of ``item`` values, deduplicated and sorted by ``key``."""
+    def parse(raw, where: str) -> tuple:
+        if not isinstance(raw, list) or not raw:
+            _fail(where, "expected a non-empty list")
+        return tuple(sorted({item(v, where) for v in raw}, key=key))
+    return parse
 
 
-def _int_grid(raw, where: str) -> tuple:
-    if not isinstance(raw, list) or not raw:
-        _fail(where, "expected a non-empty list of integers")
-    return tuple(sorted({_integer(v, where) for v in raw}))
+def _choice(*options):
+    def parse(raw, where: str):
+        if raw not in options:
+            _fail(where, f"expected one of {list(options)}, got {raw!r}")
+        return raw
+    return parse
 
 
-def _kind_list(raw, where: str) -> tuple:
-    if not isinstance(raw, list) or not raw:
-        _fail(where, "expected a non-empty list of amplifier kinds")
-    for k in raw:
-        if k not in VALID_KINDS:
-            _fail(where, f"unknown kind {k!r}; valid: {sorted(VALID_KINDS)}")
-    # canonical order, so output ordering never depends on config order
-    return tuple(k for k in ("QS", "PC", "CascadedPC") if k in raw)
+def _check_names(raw, where: str) -> tuple:
+    return _grid(_choice(*(name for name, _, _ in VERIFY_CHECKS)))(raw, where)
 
 
-def _one_kind(raw, where: str) -> str:
-    if raw not in VALID_KINDS:
-        _fail(where, f"unknown kind {raw!r}; valid: {sorted(VALID_KINDS)}")
+def _path(raw, where: str):
+    if raw is not None and not isinstance(raw, str):
+        _fail(where, f"expected a path string, got {raw!r}")
     return raw
 
 
-def _strategy(raw, where: str) -> str:
-    if raw not in ("unfiltered", "filtered"):
-        _fail(where, f"expected 'unfiltered' or 'filtered', got {raw!r}")
-    return raw
+def _workers(raw, where: str):
+    return None if raw is None else _integer(raw, where)
 
 
-def _optimizer_settings(raw, where: str) -> dict:
+def _parse(raw: dict, table: dict, prefix: str = "") -> dict:
+    """Parse every key of ``table`` from ``raw``, filling defaults."""
+    out = {}
+    for key, (parse, default) in table.items():
+        value = raw.get(key, default)
+        if value is not _ABSENT:
+            out[key] = parse(value, prefix + key)
+    return out
+
+
+# canonical order, so output ordering never depends on config order
+_KINDS = _grid(_choice(*VALID_KINDS), key=VALID_KINDS.index)
+
+_OPTIMIZER = {"t_min": (_number, _ABSENT), "t_max": (_number, _ABSENT),
+              "grid_points": (partial(_integer, minimum=4), _ABSENT),
+              "refine_tolerance": (_number, _ABSENT)}
+
+
+def _optimizer(raw, where: str) -> dict:
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         _fail(where, "expected an object")
-    unknown = set(raw) - _OPTIMIZER_KEYS
+    unknown = set(raw) - set(_OPTIMIZER)
     if unknown:
         _fail(where, f"unknown keys {sorted(unknown)}")
-    out = {}
-    for key in ("t_min", "t_max", "refine_tolerance"):
-        if key in raw:
-            out[key] = _number(raw[key], f"{where}.{key}")
-    if "grid_points" in raw:
-        out["grid_points"] = _integer(raw["grid_points"],
-                                      f"{where}.grid_points", minimum=4)
-    if "n_range" in raw:
-        pair = raw["n_range"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"{where}.n_range", "expected [lo, hi]")
-        out["n_range"] = (_integer(pair[0], f"{where}.n_range"),
-                          _integer(pair[1], f"{where}.n_range"))
-    try:
-        SweepConfig(**out)
-    except ValueError as exc:
-        _fail(where, str(exc))
-    return out
+    return _parse(raw, _OPTIMIZER, f"{where}.")
 
 
-def sweep_config_from(params: dict) -> SweepConfig:
-    try:
-        return SweepConfig(**params.get("optimizer", {}))
-    except ValueError as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
+# the output keys; build_experiment parses them after the flag overrides
+_OUTPUT = {"out": (_path, None), "format": (_choice("csv", "jsonl"), "csv"),
+           "workers": (_workers, None)}
+
+
+def _common(experiment: str, n_max: int, n_max_minimum: int = 2) -> dict:
+    return {"experiment": (_choice(experiment), experiment),
+            "n_max": (partial(_integer, minimum=n_max_minimum), n_max),
+            "optimizer": (_optimizer, None)}
+
+
+_SOURCE = {"scenario": (_integer, 1), "r1_db": (_number, 5.0),
+           "k_modes": (_integer, 5), "decay": (_number, 0.6),
+           "strategy": (_choice("unfiltered", "filtered"), "unfiltered"),
+           "amplified_index": (_integer, 1)}
+
+_TABLES = {
+    "amplify": {**_common("amplify", 30),
+                "alphas": (_grid(_number), None),
+                "target_gains": (_grid(_number), None),
+                "n_units": (_grid(_integer), None),
+                "kinds": (_KINDS, ["QS", "PC"])},
+    "distill": {**_common("distill", 20), **_SOURCE,
+                "attenuations_db": (_grid(_number), None),
+                "kinds": (_KINDS, ["QS", "PC"]),
+                "n_units": (_grid(_integer), [2])},
+    "cascade-compare": {**_common("cascade-compare", 25),
+                        "r_db": (_number, 3.0),
+                        "n_units": (_grid(_integer), [1, 2, 3])},
+    "sweep": {**_common("sweep", 20), **_SOURCE,
+              "attenuation_db": (_number, 0.0),
+              "kind": (_choice(*VALID_KINDS), "PC"),
+              "n_units": (_integer, 2)},
+    "verify": {**_common("verify", 0, n_max_minimum=0),
+               "tolerance": (_number, _ABSENT),
+               "checks": (_check_names, _ABSENT)},
+}
 
 
 def load_config(path: str) -> dict:
@@ -202,70 +221,40 @@ def load_config(path: str) -> dict:
     return raw
 
 
+def _build_domain(experiment: str, p: dict) -> None:
+    """Build the domain objects once; their constructors own the ranges."""
+    p["optimizer"] = SweepConfig(**p["optimizer"])
+    if experiment == "cascade-compare":
+        PdcSpec(np.ones(1), squeezing_from_db(p["r_db"]))
+    if experiment not in ("distill", "sweep"):
+        return
+    pdc = PdcSpec.from_scenario(p["scenario"], p["r1_db"], p["k_modes"],
+                                p["decay"])
+    if experiment == "distill":
+        grid = [(db, k, n) for db in p["attenuations_db"] for k in p["kinds"]
+                for n in p["n_units"]]
+    else:
+        grid = [(p["attenuation_db"], p["kind"], p["n_units"])]
+    # the amplifier transmissivity is a placeholder that the runners replace
+    p["points"] = tuple(DistillScenario(pdc, ChannelSpec(db),
+                                        NlaSpec(k, n, 0.5), p["strategy"],
+                                        p["amplified_index"])
+                        for db, k, n in grid)
+
+
 def validate_config(raw: dict, experiment: str) -> dict:
-    """Check ``raw`` against the schema for ``experiment``; fill defaults."""
-    if experiment not in _EXPERIMENT_KEYS:
+    """Check ``raw`` against the table for ``experiment``; fill defaults."""
+    if experiment not in _TABLES:
         _fail("experiment", f"unknown experiment {experiment!r}")
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[experiment]
-    unknown = set(raw) - allowed
+    table = _TABLES[experiment]
+    unknown = set(raw) - set(table) - set(_OUTPUT)
     if unknown:
         _fail(experiment, f"unknown config keys {sorted(unknown)}")
-    if "experiment" in raw and raw["experiment"] != experiment:
-        _fail("experiment",
-              f"config says {raw['experiment']!r} but subcommand is"
-              f" {experiment!r}")
-
-    p: dict = {"optimizer": _optimizer_settings(raw.get("optimizer"),
-                                                "optimizer")}
-    p["n_max"] = _integer(raw.get("n_max", _DEFAULT_N_MAX[experiment]),
-                          "n_max", minimum=0 if experiment == "verify" else 2)
-
-    if experiment == "amplify":
-        p["alphas"] = _number_grid(raw.get("alphas"), "alphas")
-        p["target_gains"] = _number_grid(raw.get("target_gains"),
-                                         "target_gains")
-        p["n_units"] = _int_grid(raw.get("n_units"), "n_units")
-        p["kinds"] = _kind_list(raw.get("kinds", ["QS", "PC"]), "kinds")
-    elif experiment in ("distill", "sweep"):
-        p["scenario"] = _integer(raw.get("scenario", 1), "scenario")
-        if p["scenario"] not in (1, 2, 3):
-            _fail("scenario", f"must be 1, 2 or 3, got {p['scenario']}")
-        p["r1_db"] = _number(raw.get("r1_db", 5.0), "r1_db")
-        p["k_modes"] = _integer(raw.get("k_modes", 5), "k_modes")
-        p["decay"] = _number(raw.get("decay", 0.6), "decay")
-        p["normalization"] = raw.get("normalization", "sum_squares")
-        if p["normalization"] not in ("sum_squares", "sum"):
-            _fail("normalization", f"got {p['normalization']!r}")
-        p["strategy"] = _strategy(raw.get("strategy", "unfiltered"),
-                                  "strategy")
-        p["amplified_index"] = _integer(raw.get("amplified_index", 1),
-                                        "amplified_index")
-        if p["amplified_index"] > p["k_modes"]:
-            _fail("amplified_index", "exceeds k_modes")
-        if experiment == "distill":
-            p["attenuations_db"] = _number_grid(raw.get("attenuations_db"),
-                                                "attenuations_db")
-            p["kinds"] = _kind_list(raw.get("kinds", ["QS", "PC"]), "kinds")
-            p["n_units"] = _int_grid(raw.get("n_units", [2]), "n_units")
-        else:
-            p["attenuation_db"] = _number(raw.get("attenuation_db", 0.0),
-                                          "attenuation_db")
-            p["kind"] = _one_kind(raw.get("kind", "PC"), "kind")
-            p["n_units"] = _integer(raw.get("n_units", 2), "n_units")
-    elif experiment == "cascade-compare":
-        p["r_db"] = _number(raw.get("r_db", 3.0), "r_db")
-        p["n_units"] = _int_grid(raw.get("n_units", [1, 2, 3]), "n_units")
-    elif experiment == "verify":
-        if "tolerance" in raw:
-            p["tolerance"] = _number(raw["tolerance"], "tolerance")
-        if "checks" in raw:
-            names = raw["checks"]
-            known = {name for name, _, _ in VERIFY_CHECKS}
-            if (not isinstance(names, list) or not names
-                    or set(names) - known):
-                _fail("checks", f"expected a non-empty subset of"
-                                f" {sorted(known)}")
-            p["checks"] = tuple(names)
+    p = _parse(raw, table)
+    try:
+        _build_domain(experiment, p)
+    except ValueError as exc:
+        raise ConfigError(f"{experiment}: {exc}") from exc
     return p
 
 
@@ -273,53 +262,35 @@ def build_experiment(experiment: str, raw: dict, *, out=None, fmt=None,
                      workers=None, tolerance=None) -> ExperimentConfig:
     """Merge CLI flag overrides into the validated config."""
     params = validate_config(raw, experiment)
-    out_path = out if out is not None else raw.get("out")
-    if out_path is not None and not isinstance(out_path, str):
-        _fail("out", f"expected a path string, got {out_path!r}")
-    out_format = fmt if fmt is not None else raw.get("format", "csv")
-    if out_format not in ("csv", "jsonl"):
-        _fail("format", f"expected 'csv' or 'jsonl', got {out_format!r}")
-    if workers is None:
-        workers = raw.get("workers")
-    n_workers = None if workers is None else _integer(workers, "workers")
+    flags = {"out": out, "format": fmt, "workers": workers}
+    output = _parse({**raw, **{k: v for k, v in flags.items()
+                               if v is not None}}, _OUTPUT)
     if tolerance is None:
         tolerance = params.get("tolerance")
     else:
         tolerance = _number(tolerance, "tolerance")
-    return ExperimentConfig(experiment, params, out_path, out_format,
-                            n_workers, tolerance)
+    return ExperimentConfig(experiment, params, output["out"],
+                            output["format"], output["workers"], tolerance)
 
 
 # ---------------------------------------------------------------------------
-# worker tasks (module-level, picklable; rebuild objects from primitives)
+# worker tasks (module-level, picklable)
 
 def _amplify_point(task):
-    alpha, gain, kind, n_units, n_max, opt = task
-    cfg = SweepConfig(**dict(opt))
-    t_star, f_star, prob = max_fidelity_profile(alpha, gain, kind, n_units,
-                                                n_max, cfg)
-    return t_star, f_star, prob
+    return max_fidelity_profile(*task)
 
 
 def _distill_point(task):
-    (scenario, r1_db, k_modes, decay, normalization, att_db, kind, n_units,
-     strategy, amplified_index, n_max, opt) = task
-    cfg = SweepConfig(**dict(opt))
-    pdc = PdcSpec.from_scenario(scenario, r1_db, k_modes, decay,
-                                normalization)
-    channel = ChannelSpec(att_db)
-    sc = DistillScenario(pdc, channel, NlaSpec(kind, n_units, 0.5),
-                         strategy, amplified_index)
-    best = maximize_total_logneg(sc, n_max, cfg)
-    ref = reference_no_nla(pdc, channel, n_max)
+    scenario, n_max, sweep = task
+    lossy = lossy_pdc_densities(scenario.pdc, scenario.channel, n_max)
+    best = maximize_total_logneg(scenario, lossy, sweep)
+    ref = reference_no_nla(lossy)
     return best.optimal_t, best.total_logneg, best.success_prob, \
         ref.total_logneg
 
 
 def _cascade_point(task):
-    r, n_units, n_max, opt = task
-    cfg = SweepConfig(**dict(opt))
-    par, cas = cascade_compare(r, n_units, n_max, cfg)
+    par, cas = cascade_compare(*task)
     return ((par.optimal_t, par.total_logneg, par.success_prob),
             (cas.optimal_t, cas.total_logneg, cas.success_prob))
 
@@ -339,10 +310,9 @@ def _fan_out(worker, tasks, n_workers):
 
 def run_amplify(cfg: ExperimentConfig):
     p = cfg.params
-    opt = tuple(sorted(p["optimizer"].items()))
     grid = [(a, g, k, n) for a in p["alphas"] for g in p["target_gains"]
             for n in p["n_units"] for k in p["kinds"]]
-    tasks = [(a, g, k, n, p["n_max"], opt) for a, g, k, n in grid]
+    tasks = [(a, g, k, n, p["n_max"], p["optimizer"]) for a, g, k, n in grid]
     results = _fan_out(_amplify_point, tasks, cfg.workers)
     header = ["alpha", "target_gain", "kind", "n_units", "n_max",
               "optimal_t", "fidelity", "success_prob"]
@@ -353,27 +323,22 @@ def run_amplify(cfg: ExperimentConfig):
 
 def run_distill(cfg: ExperimentConfig):
     p = cfg.params
-    opt = tuple(sorted(p["optimizer"].items()))
-    grid = [(db, k, n) for db in p["attenuations_db"] for k in p["kinds"]
-            for n in p["n_units"]]
-    tasks = [(p["scenario"], p["r1_db"], p["k_modes"], p["decay"],
-              p["normalization"], db, k, n, p["strategy"],
-              p["amplified_index"], p["n_max"], opt) for db, k, n in grid]
+    tasks = [(sc, p["n_max"], p["optimizer"]) for sc in p["points"]]
     results = _fan_out(_distill_point, tasks, cfg.workers)
     header = ["attenuation_db", "eta", "scenario", "strategy", "kind",
               "n_units", "n_max", "optimal_t", "total_logneg",
               "success_prob", "reference_logneg"]
-    rows = [[db, transmissivity_from_db(db), p["scenario"], p["strategy"],
-             k, n, p["n_max"], t, e, pr, ref]
-            for (db, k, n), (t, e, pr, ref) in zip(grid, results)]
+    rows = [[sc.channel.attenuation_db, sc.channel.eta, p["scenario"],
+             p["strategy"], sc.nla.kind, sc.nla.n_units, p["n_max"],
+             t, e, pr, ref]
+            for sc, (t, e, pr, ref) in zip(p["points"], results)]
     return header, rows
 
 
 def run_cascade_compare(cfg: ExperimentConfig):
     p = cfg.params
-    opt = tuple(sorted(p["optimizer"].items()))
     r = squeezing_from_db(p["r_db"])
-    tasks = [(r, n, p["n_max"], opt) for n in p["n_units"]]
+    tasks = [(r, n, p["n_max"], p["optimizer"]) for n in p["n_units"]]
     results = _fan_out(_cascade_point, tasks, cfg.workers)
     header = ["r_db", "n_units", "arrangement", "n_max", "optimal_t",
               "total_logneg", "success_prob"]
@@ -387,11 +352,8 @@ def run_cascade_compare(cfg: ExperimentConfig):
 def run_sweep(cfg: ExperimentConfig):
     """Emit the raw per-T objective surface for one distillation point."""
     p = cfg.params
-    sweep = sweep_config_from(p)
-    pdc = PdcSpec.from_scenario(p["scenario"], p["r1_db"], p["k_modes"],
-                                p["decay"], p["normalization"])
-    lossy = lossy_pdc_densities(pdc, ChannelSpec(p["attenuation_db"]),
-                                p["n_max"])
+    sweep, (sc,) = p["optimizer"], p["points"]
+    lossy = lossy_pdc_densities(sc.pdc, sc.channel, p["n_max"])
     header = ["attenuation_db", "kind", "n_units", "n_max", "t",
               "total_logneg", "success_prob"]
     rows = []

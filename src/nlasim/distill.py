@@ -25,10 +25,9 @@ from typing import Literal
 import numpy as np
 
 from . import optimize
-from .fock import (BipartiteDensity, ChannelSpec, DiagonalOperator,
-                   apply_diagonal, apply_loss, attenuator_diagonal,
-                   guard_truncation, log_negativity, squeezing_from_db,
-                   tmsv_density, vacuum_projection_diagonal)
+from .fock import (ChannelSpec, DiagonalOperator, apply_diagonal, apply_loss,
+                   attenuator_diagonal, guard_truncation, log_negativity,
+                   squeezing_from_db, tmsv_density, vacuum_projection_diagonal)
 from .nla import NlaSpec, nla_diagonal
 
 Strategy = Literal["unfiltered", "filtered"]
@@ -63,15 +62,11 @@ def scenario_lambdas(scenario: int, k_modes: int = DEFAULT_SUPERMODES,
 class PdcSpec:
     """Down-conversion source: normalised weights ``lambdas`` and gain G.
 
-    Supermode squeezings are r_k = G * lambda_k.  ``normalization`` records
-    the convention the weights satisfy ('sum_squares': sum lambda_k^2 = 1,
-    'sum': sum lambda_k = 1); with the gain anchored to a physical r_1 the
-    choice only relabels G.
+    Supermode squeezings are r_k = G * lambda_k, with sum lambda_k^2 = 1.
     """
 
     lambdas: np.ndarray
     gain: float
-    normalization: str = "sum_squares"
 
     def __post_init__(self):
         lam = np.ascontiguousarray(self.lambdas, dtype=float)
@@ -79,13 +74,10 @@ class PdcSpec:
             raise ValueError("lambdas must be a non-empty 1-d array")
         if np.any(lam < 0):
             raise ValueError("lambdas must be non-negative")
-        if self.normalization not in ("sum_squares", "sum"):
-            raise ValueError("normalization must be 'sum_squares' or 'sum'")
-        total = (lam ** 2).sum() if self.normalization == "sum_squares" \
-            else lam.sum()
+        total = (lam ** 2).sum()
         if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"lambdas violate {self.normalization} "
-                             f"normalisation (got {total})")
+            raise ValueError(f"lambdas violate sum-of-squares normalisation "
+                             f"(got {total})")
         if self.gain < 0:
             raise ValueError("gain must be >= 0")
         lam.setflags(write=False)
@@ -102,17 +94,13 @@ class PdcSpec:
     @classmethod
     def from_scenario(cls, scenario: int, r1_db: float,
                       k_modes: int = DEFAULT_SUPERMODES,
-                      decay: float = DEFAULT_DECAY,
-                      normalization: str = "sum_squares") -> "PdcSpec":
+                      decay: float = DEFAULT_DECAY) -> "PdcSpec":
         """Pin the source by its strongest-supermode squeezing in dB."""
         raw = scenario_lambdas(scenario, k_modes, decay)
-        total = (raw ** 2).sum() if normalization == "sum_squares" \
-            else raw.sum()
-        lam = raw / (math.sqrt(total) if normalization == "sum_squares"
-                     else total)
+        lam = raw / math.sqrt((raw ** 2).sum())
         r1 = squeezing_from_db(r1_db)
         gain = r1 / lam[0] if r1 > 0 else 0.0
-        return cls(lam, gain, normalization)
+        return cls(lam, gain)
 
 
 @dataclass(frozen=True)
@@ -140,19 +128,20 @@ class DistillResult:
     optimal_t: float | None = None
 
 
-def build_pdc(spec: PdcSpec, n_max: int, tail_tol: float = 1e-10) -> list:
-    """Schmidt coefficient vectors of the K supermode pairs."""
-    from .fock import tmsv_schmidt
-    return [tmsv_schmidt(r, n_max, tail_tol) for r in spec.squeezings]
-
-
 def lossy_pdc_densities(spec: PdcSpec, channel: "ChannelSpec | float",
                         n_max: int, tail_tol: float = 1e-10) -> list:
-    """Normalised supermode densities after the lossy channel on arm B."""
+    """Normalised supermode densities after the lossy channel on arm B.
+
+    Loss leaves a vacuum supermode (r = 0) and any state sent through a
+    lossless channel (eta = 1) unchanged, so those skip the Kraus sum.
+    """
+    eta = channel.eta if isinstance(channel, ChannelSpec) else float(channel)
     out = []
     for r in spec.squeezings:
         rho = tmsv_density(r, n_max, tail_tol)
-        out.append(apply_loss(rho, "B", channel))
+        if r != 0 and eta != 1:
+            rho = apply_loss(rho, "B", channel)
+        out.append(rho)
     return out
 
 
@@ -208,10 +197,11 @@ def distill(scenario: DistillScenario, n_max: int) -> DistillResult:
                           scenario.amplified_index)
 
 
-def reference_no_nla(pdc: PdcSpec, channel: "ChannelSpec | float",
-                     n_max: int) -> DistillResult:
-    """Channel-only baseline: no amplifier, unit success probability."""
-    lossy = lossy_pdc_densities(pdc, channel, n_max)
+def reference_no_nla(lossy: list) -> DistillResult:
+    """Channel-only baseline: no amplifier, unit success probability.
+
+    ``lossy`` is the list produced by :func:`lossy_pdc_densities`.
+    """
     lognegs = np.array([log_negativity(rho) for rho in lossy])
     return DistillResult(lognegs, float(lognegs.sum()), 1.0)
 

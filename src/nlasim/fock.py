@@ -135,10 +135,6 @@ class DiagonalOperator:
         return self.coeffs.size - 1
 
 
-def identity_diagonal(n_max: int) -> DiagonalOperator:
-    return DiagonalOperator(np.ones(n_max + 1))
-
-
 def vacuum_projection_diagonal(n_max: int) -> DiagonalOperator:
     coeffs = np.zeros(n_max + 1)
     coeffs[0] = 1.0
@@ -297,12 +293,6 @@ class BeamSplitterUnitary:
         if not 0 <= n_total < len(self.blocks):
             raise ValueError(f"no block for total photon number {n_total}")
         return self.blocks[n_total]
-
-    def element(self, na: int, nb: int, ma: int, mb: int) -> float:
-        """Matrix element <na, nb| U |ma, mb>; zero across photon sectors."""
-        if na + nb != ma + mb:
-            return 0.0
-        return float(self.block(na + nb)[nb, mb])
 
 
 def beam_splitter_unitary(transmissivity: float,

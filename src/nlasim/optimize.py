@@ -10,7 +10,7 @@ joint searches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,16 +43,6 @@ class SweepConfig:
         lo, hi = self.n_range
         if not 1 <= lo <= hi:
             raise ValueError("n_range must satisfy 1 <= lo <= hi")
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """Optimum of one scalar sweep plus the evaluation trace behind it."""
-
-    optimal_t: float
-    value: float
-    success_prob: float | None
-    trace: tuple
 
 
 def _check_finite(t: float, value: float) -> float:
@@ -164,17 +154,14 @@ def max_success_given_fidelity(alpha: complex, target_gain: float, kind: str,
     return best
 
 
-def maximize_total_logneg(scenario, n_max: int,
+def maximize_total_logneg(scenario, lossy: list,
                           config: SweepConfig | None = None):
     """T-optimised distillation result for a fixed scenario and unit count.
 
+    ``lossy`` is the scenario's source from :func:`lossy_pdc_densities`.
     Returns the :class:`DistillResult` at the optimum with ``optimal_t`` set.
     """
-    from dataclasses import replace
-
-    from .distill import apply_strategy, lossy_pdc_densities
-
-    lossy = lossy_pdc_densities(scenario.pdc, scenario.channel, n_max)
+    from .distill import apply_strategy
 
     def objective(t: float) -> float:
         nla = replace(scenario.nla, transmissivity=t)
@@ -186,12 +173,3 @@ def maximize_total_logneg(scenario, n_max: int,
     best = apply_strategy(lossy, nla, scenario.strategy,
                           scenario.amplified_index)
     return replace(best, optimal_t=t_star)
-
-
-def sweep_objective(objective, config: SweepConfig | None = None,
-                    success_at=None) -> SweepResult:
-    """Run one scalar sweep and keep the full evaluation trace."""
-    trace: list = []
-    t_star, v_star = maximize_over_T(objective, config, record=trace)
-    prob = None if success_at is None else float(success_at(t_star))
-    return SweepResult(t_star, v_star, prob, tuple(trace))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlasim.cli as cli
 import nlasim.nla as nla_module
@@ -79,6 +81,38 @@ def test_flag_overrides_beat_config(tmp_path):
     cfg = build_experiment("distill", raw, fmt="jsonl", workers=1)
     assert cfg.out_format == "jsonl"
     assert cfg.workers == 1
+
+
+# any JSON value at any key: accepted or a ConfigError, never another error.
+# Integers stay small because validation builds a k_modes-long source profile.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 100) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8)
+VALID_BASE = {"amplify": {"alphas": [0.2], "target_gains": [1.5],
+                          "n_units": [1]},
+              "distill": {"attenuations_db": [0.0]},
+              "cascade-compare": {}, "sweep": {}, "verify": {}}
+SLOTS = [(experiment, key) for experiment, table in sorted(cli._TABLES.items())
+         for key in [*table, *cli._OUTPUT,
+                     *(f"optimizer.{k}" for k in cli._OPTIMIZER)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(slot=st.sampled_from(SLOTS), value=JSON_VALUES)
+def test_any_json_value_is_accepted_or_config_error(slot, value):
+    experiment, key = slot
+    raw = dict(VALID_BASE[experiment])
+    if key.startswith("optimizer."):
+        raw["optimizer"] = {key.split(".", 1)[1]: value}
+    else:
+        raw[key] = value
+    try:
+        build_experiment(experiment, raw)
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +231,46 @@ def test_truncation_guard_gives_exit_2(tmp_path, capsys):
 def test_unknown_key_gives_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, {"attenuations_db": [0.0], "zzz": 1})
     assert main(["distill", "--config", path]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+DISTILL_MIN = {"attenuations_db": [0.0]}
+
+
+@pytest.mark.parametrize("experiment, payload", [
+    ("distill", {**DISTILL_MIN, "r1_db": True}),
+    ("distill", {**DISTILL_MIN, "r1_db": math.inf}),
+    ("distill", {**DISTILL_MIN, "decay": math.nan}),
+    ("distill", {"attenuations_db": []}),
+    ("distill", {**DISTILL_MIN, "kinds": ["QS", "QQ"]}),
+    ("distill", {**DISTILL_MIN, "strategy": "bogus"}),
+    ("distill", {**DISTILL_MIN, "scenario": 4}),
+    ("distill", {**DISTILL_MIN, "k_modes": 3, "amplified_index": 4}),
+    ("distill", {**DISTILL_MIN, "optimizer": {"grid_points": 3}}),
+    ("distill", {**DISTILL_MIN, "optimizer": {"t_min": 0.5, "t_max": 0.5}}),
+    ("distill", {**DISTILL_MIN, "n_max": 1}),
+    ("distill", {**DISTILL_MIN, "optimizer": {"bogus": 1}}),
+    ("distill", {**DISTILL_MIN, "format": "xml"}),
+    ("distill", {**DISTILL_MIN, "workers": 0}),
+    ("distill", {**DISTILL_MIN, "out": 3}),
+    ("verify", {"checks": ["no_such_check"]}),
+    # out-of-range values the domain constructors reject
+    ("distill", {"scenario": 2, "decay": 1.5, "attenuations_db": [0]}),
+    ("distill", {"attenuations_db": [-1.0]}),
+    ("cascade-compare", {"r_db": -1.0}),
+], ids=["bool", "inf", "nan", "empty-grid", "unknown-kind", "bad-strategy",
+        "scenario-4", "amplified-index", "grid-points-3", "t-min-ge-t-max",
+        "n-max-1", "unknown-optimizer-key", "bad-format", "workers-0",
+        "non-string-out", "unknown-check", "decay-out-of-range",
+        "negative-attenuation", "negative-squeezing"])
+def test_bad_config_is_config_error_before_any_work(
+        tmp_path, capsys, monkeypatch, experiment, payload):
+    def no_work(*args):
+        raise AssertionError("work started on a rejected config")
+
+    monkeypatch.setattr(cli, "_fan_out", no_work)
+    path = write_config(tmp_path, payload)
+    assert main([experiment, "--config", path]) == 1
     assert "config error" in capsys.readouterr().err
 
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from nlasim.distill import (DistillScenario, PdcSpec, apply_strategy,
-                            build_pdc, cascade_compare, distill,
-                            lossy_pdc_densities, reference_no_nla,
-                            scenario_lambdas)
-from nlasim.fock import (ChannelSpec, TruncationError, log_negativity,
-                         squeezing_from_db, tmsv_schmidt)
+                            cascade_compare, distill, lossy_pdc_densities,
+                            reference_no_nla, scenario_lambdas)
+from nlasim.fock import (ChannelSpec, TruncationError, apply_loss,
+                         log_negativity, squeezing_from_db, tmsv_density,
+                         tmsv_schmidt)
 from nlasim.nla import NlaSpec, nla_diagonal
 
 N_MAX = 20
@@ -40,9 +40,6 @@ def test_pdc_spec_normalization_guard():
     PdcSpec(np.array([0.6, 0.8]), 1.0)
     with pytest.raises(ValueError):
         PdcSpec(np.array([0.6, 0.7]), 1.0)
-    with pytest.raises(ValueError):
-        PdcSpec(np.array([0.6, 0.8]), 1.0, normalization="sum")
-    PdcSpec(np.array([0.3, 0.7]), 1.0, normalization="sum")
 
 
 def test_from_scenario_anchors_first_squeezing():
@@ -54,20 +51,21 @@ def test_from_scenario_anchors_first_squeezing():
         assert norm == pytest.approx(1.0, abs=1e-12)
 
 
-def test_from_scenario_sum_normalization_same_physics():
-    # the normalization convention relabels G but not the squeezings
-    a = PdcSpec.from_scenario(2, 5.0, normalization="sum_squares")
-    b = PdcSpec.from_scenario(2, 5.0, normalization="sum")
-    assert np.abs(a.squeezings - b.squeezings).max() < 1e-13
-
-
-def test_build_pdc_shapes():
-    vectors = build_pdc(scenario1(), N_MAX)
-    assert len(vectors) == 5
-    assert all(v.size == N_MAX + 1 for v in vectors)
-    # inactive supermodes are vacuum
-    assert vectors[1][0] == 1.0
-    assert np.all(vectors[1][1:] == 0.0)
+def test_source_skips_loss_where_channel_cannot_act():
+    pdc = PdcSpec.from_scenario(1, 5.0, k_modes=3)
+    for channel in (ChannelSpec(0.0), ChannelSpec(6.0), 1.0, 0.3, 0.0):
+        lossy = lossy_pdc_densities(pdc, channel, N_MAX)
+        assert len(lossy) == 3
+        assert all(rho.n_max == N_MAX for rho in lossy)
+        # inactive supermodes stay vacuum
+        vacuum = np.zeros_like(lossy[1].matrix)
+        vacuum[0, 0] = 1.0
+        assert np.array_equal(lossy[1].matrix, vacuum)
+        # the Kraus sum would give the same bits where it is skipped
+        for r, rho in zip(pdc.squeezings, lossy):
+            kraus = apply_loss(tmsv_density(r, N_MAX), "B", channel)
+            assert rho.matrix.tobytes() == kraus.matrix.tobytes()
+            assert rho.trace_value == kraus.trace_value
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,7 @@ def test_build_pdc_shapes():
 
 def test_lossless_reference_matches_analytic():
     pdc = PdcSpec.from_scenario(2, 5.0, k_modes=3, decay=0.5)
-    ref = reference_no_nla(pdc, 1.0, N_MAX)
+    ref = reference_no_nla(lossy_pdc_densities(pdc, 1.0, N_MAX))
     want = 2 * pdc.squeezings / math.log(2)
     assert np.abs(ref.per_supermode_logneg - want).max() < 1e-5
     assert ref.success_prob == 1.0
@@ -83,7 +81,8 @@ def test_lossless_reference_matches_analytic():
 
 def test_reference_decays_with_attenuation():
     pdc = scenario1()
-    values = [reference_no_nla(pdc, ChannelSpec(db), N_MAX).total_logneg
+    values = [reference_no_nla(lossy_pdc_densities(pdc, ChannelSpec(db),
+                                                   N_MAX)).total_logneg
               for db in (0.0, 5.0, 10.0, 20.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(2 * squeezing_from_db(5.0) / math.log(2),
@@ -92,8 +91,9 @@ def test_reference_decays_with_attenuation():
 
 def test_channel_accepts_spec_or_float():
     pdc = scenario1()
-    via_spec = reference_no_nla(pdc, ChannelSpec(10.0), N_MAX)
-    via_eta = reference_no_nla(pdc, 0.1, N_MAX)
+    via_spec = reference_no_nla(lossy_pdc_densities(pdc, ChannelSpec(10.0),
+                                                    N_MAX))
+    via_eta = reference_no_nla(lossy_pdc_densities(pdc, 0.1, N_MAX))
     assert via_spec.total_logneg == pytest.approx(via_eta.total_logneg,
                                                   rel=1e-12)
 
@@ -167,7 +167,7 @@ def test_single_supermode_lossless_catalysis_matches_pure_state_form():
         assert abs(got[t] - want) <= 1e-12
     # local filtering raises the entanglement of this pure state: with one
     # active supermode PC beats the reference already at a lossless channel
-    ref = reference_no_nla(pdc, 1.0, N_MAX).total_logneg
+    ref = reference_no_nla(lossy).total_logneg
     assert got[0.08] - ref == pytest.approx(0.31, abs=0.01)
 
 

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from nlasim.distill import DistillScenario, PdcSpec, distill
+from nlasim.distill import (DistillScenario, PdcSpec, distill,
+                            lossy_pdc_densities)
 from nlasim.fock import ChannelSpec
 from nlasim.nla import NlaSpec, amplify_coherent
-from nlasim.optimize import (InfeasibleError, SweepConfig, SweepResult,
+from nlasim.optimize import (InfeasibleError, SweepConfig,
                              max_fidelity_profile, max_success_given_fidelity,
-                             maximize_over_T, maximize_total_logneg,
-                             sweep_objective)
+                             maximize_over_T, maximize_total_logneg)
 
 FAST = SweepConfig(grid_points=40, refine_tolerance=1e-6)
 
@@ -64,6 +64,23 @@ def test_record_collects_all_evaluations():
     assert min(ts) >= FAST.t_min and max(ts) <= FAST.t_max
 
 
+def test_sweep_objective_trace_and_success():
+    calls, record = [], []
+
+    def objective(t):
+        calls.append(t)
+        return -(t - 0.4) ** 2
+
+    t_star, v_star = maximize_over_T(objective, FAST, record=record)
+    assert abs(t_star - 0.4) < 1e-5
+    # every evaluation, in the order it was made, with its value
+    assert [t for t, _ in record] == calls
+    assert all(v == -(t - 0.4) ** 2 for t, v in record)
+    assert len(record) >= FAST.grid_points
+    assert (t_star, v_star) in record
+    assert v_star == max(v for _, v in record)
+
+
 def test_non_finite_objective_rejected():
     with pytest.raises(ValueError):
         maximize_over_T(lambda t: math.inf if t > 0.5 else t, FAST)
@@ -74,15 +91,6 @@ def test_deterministic_bitwise():
     a = maximize_over_T(f, FAST)
     b = maximize_over_T(f, FAST)
     assert a == b
-
-
-def test_sweep_objective_trace_and_success():
-    res = sweep_objective(lambda t: -(t - 0.4) ** 2, FAST,
-                          success_at=lambda t: 1 - t)
-    assert isinstance(res, SweepResult)
-    assert abs(res.optimal_t - 0.4) < 1e-5
-    assert res.success_prob == pytest.approx(1 - res.optimal_t, rel=1e-12)
-    assert len(res.trace) >= FAST.grid_points
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +136,8 @@ def test_maximize_total_logneg_consistent_with_distill():
     pdc = PdcSpec.from_scenario(1, 5.0)
     sc = DistillScenario(pdc, ChannelSpec(8.0), NlaSpec("QS", 2, 0.5))
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
-    best = maximize_total_logneg(sc, 20, cfg)
+    best = maximize_total_logneg(
+        sc, lossy_pdc_densities(sc.pdc, sc.channel, 20), cfg)
     assert best.optimal_t is not None
     redo = distill(DistillScenario(pdc, ChannelSpec(8.0),
                                    NlaSpec("QS", 2, best.optimal_t)), 20)
@@ -140,6 +149,7 @@ def test_maximize_total_logneg_beats_fixed_choice():
     pdc = PdcSpec.from_scenario(1, 5.0)
     sc = DistillScenario(pdc, ChannelSpec(8.0), NlaSpec("QS", 2, 0.5))
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
-    best = maximize_total_logneg(sc, 20, cfg)
+    best = maximize_total_logneg(
+        sc, lossy_pdc_densities(sc.pdc, sc.channel, 20), cfg)
     fixed = distill(sc, 20)
     assert best.total_logneg >= fixed.total_logneg - 1e-12
