@@ -462,8 +462,8 @@ def _dev_loss_channel() -> float:
 
 def _dev_tmsv_logneg() -> float:
     r = 0.3
-    rho = fock.tmsv_density(r, 40)
-    return abs(fock.log_negativity(rho) - 2 * r / math.log(2))
+    lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), 1.0, 40)
+    return abs(reference_no_nla(lossy).total_logneg - 2 * r / math.log(2))
 
 
 VERIFY_CHECKS = (

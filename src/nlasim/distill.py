@@ -25,9 +25,9 @@ from typing import Literal
 import numpy as np
 
 from . import optimize
-from .fock import (ChannelSpec, DiagonalOperator, apply_diagonal, apply_loss,
-                   attenuator_diagonal, guard_truncation, log_negativity,
-                   squeezing_from_db, tmsv_density, vacuum_projection_diagonal)
+from .fock import (ChannelSpec, DiagonalOperator, attenuator_diagonal,
+                   guard_truncation, squeezing_from_db, tmsv_schmidt,
+                   vacuum_projection_diagonal)
 from .nla import NlaSpec, nla_diagonal
 
 Strategy = Literal["unfiltered", "filtered"]
@@ -99,8 +99,7 @@ class PdcSpec:
         raw = scenario_lambdas(scenario, k_modes, decay)
         lam = raw / math.sqrt((raw ** 2).sum())
         r1 = squeezing_from_db(r1_db)
-        gain = r1 / lam[0] if r1 > 0 else 0.0
-        return cls(lam, gain)
+        return cls(lam, r1 / lam[0])
 
 
 @dataclass(frozen=True)
@@ -129,20 +128,26 @@ class DistillResult:
 
 
 def lossy_pdc_densities(spec: PdcSpec, channel: "ChannelSpec | float",
-                        n_max: int, tail_tol: float = 1e-10) -> list:
-    """Normalised supermode densities after the lossy channel on arm B.
+                        n_max: int, tail_tol: float = 1e-10) -> np.ndarray:
+    """Photon-number-graded supermode states after the lossy channel on arm B.
 
-    Loss leaves a vacuum supermode (r = 0) and any state sent through a
-    lossless channel (eta = 1) unchanged, so those skip the Kraus sum.
+    Loss on arm B leaves the two-mode squeezed vacuum sum_n c_n |n, n> a
+    mixture, over the lost-photon number l, of the vectors
+    sum_n amp[n, n-l] |n, n-l>, with amp[n, m] = c_n sqrt(C(n, m))
+    eta^(m/2) (1-eta)^((n-m)/2) for m <= n and 0 above.  Returns the
+    (K, n_max+1, n_max+1) stack of ``amp``, one slice per supermode; the
+    formula is exact for vacuum supermodes and eta = 1 too.
     """
     eta = channel.eta if isinstance(channel, ChannelSpec) else float(channel)
-    out = []
-    for r in spec.squeezings:
-        rho = tmsv_density(r, n_max, tail_tol)
-        if r != 0 and eta != 1:
-            rho = apply_loss(rho, "B", channel)
-        out.append(rho)
-    return out
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    c = np.array([tmsv_schmidt(r, n_max, tail_tol) for r in spec.squeezings])
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    n = np.arange(n_max + 1)
+    binom = np.array([[math.comb(i, j) for j in n] for i in n], dtype=float)
+    lost = np.maximum(n[:, None] - n, 0)
+    return c[:, :, None] * (np.sqrt(binom) * eta ** (n / 2.0)
+                            * (1.0 - eta) ** (lost / 2.0))
 
 
 def _passive_diagonal(nla: NlaSpec, n_max: int) -> DiagonalOperator:
@@ -155,38 +160,58 @@ def _passive_diagonal(nla: NlaSpec, n_max: int) -> DiagonalOperator:
     return attenuator_diagonal(nla.transmissivity ** nla.n_units, n_max)
 
 
-def apply_strategy(lossy: list, nla: NlaSpec, strategy: Strategy = "unfiltered",
-                   amplified_index: int = 1) -> DistillResult:
-    """Amplify one supermode of pre-computed lossy densities and score them.
+def _log_negativities(amp: np.ndarray) -> np.ndarray:
+    """log2(1 + 2 negativity) of each graded state in the stack ``amp``.
 
-    ``lossy`` is the list produced by :func:`lossy_pdc_densities`; separating
-    the (channel-dependent, T-independent) loss step from the amplifier lets
-    T-optimisation reuse it.
+    rho^{T_B} splits into one block per s = n + m', arm A's photon number plus
+    that of the transposed arm B, with B_s[n, n'] = amp[n, s - n'] amp[n',
+    s - n].  An index outside [0, n_max] gives a zero row, which adds only
+    zero eigenvalues, so every block is padded to (n_max+1)-square and all
+    supermodes take one batched eigensolve.
     """
-    n_max = lossy[0].n_max
-    amp_diag = nla_diagonal(nla, n_max)
-    passive = None if strategy == "filtered" else _passive_diagonal(nla, n_max)
-    lognegs = np.zeros(len(lossy))
+    dim = amp.shape[-1]
+    col = np.arange(2 * dim - 1)[:, None] - np.arange(dim)
+    inside = (col >= 0) & (col < dim)
+    # half[k, s, n, n'] = amp[k, n, s - n']
+    half = (amp[:, :, np.clip(col, 0, dim - 1)] * inside).transpose(0, 2, 1, 3)
+    evals = np.linalg.eigvalsh(half * half.swapaxes(-1, -2))
+    negativity = -np.where(evals < 0.0, evals, 0.0).sum(axis=(1, 2))
+    return np.log2(1.0 + 2.0 * negativity)
+
+
+def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
+                   strategy: Strategy = "unfiltered",
+                   amplified_index: int = 1) -> DistillResult:
+    """Amplify one supermode of the pre-computed lossy source and score it.
+
+    ``lossy`` is the stack produced by :func:`lossy_pdc_densities`; separating
+    the (channel-dependent, T-independent) loss step from the amplifier lets
+    T-optimisation reuse it.  A Fock-diagonal operator on arm B scales the
+    columns of a supermode's amplitudes, and the herald probability is the
+    sum of their squares.
+    """
+    k_modes, dim, _ = lossy.shape
+    target = amplified_index - 1
+    coeffs = np.ones((k_modes, dim))
+    if strategy == "filtered":
+        heralded = [target]
+    else:
+        heralded = range(k_modes)
+        coeffs[:] = _passive_diagonal(nla, dim - 1).coeffs
+    coeffs[target] = nla_diagonal(nla, dim - 1).coeffs
+    acted = lossy * coeffs[:, None, :]
     prob = 1.0
-    for i, rho in enumerate(lossy):
-        if i == amplified_index - 1:
-            acted = apply_diagonal(rho, "B", amp_diag)
-        elif passive is not None:
-            acted = apply_diagonal(rho, "B", passive)
-        else:
-            lognegs[i] = log_negativity(rho)
-            continue
-        p = acted.trace_value
+    for i in heralded:
+        p = float((acted[i] ** 2).sum())
         if p <= 0.0:
             raise ValueError(
                 f"herald probability vanished on supermode {i + 1}")
         prob *= p
-        normed = acted.normalized()
-        guard_truncation(normed.arm_populations("A"),
-                         what=f"supermode {i + 1} arm A")
-        guard_truncation(normed.arm_populations("B"),
-                         what=f"supermode {i + 1} arm B")
-        lognegs[i] = log_negativity(normed)
+        acted[i] /= math.sqrt(p)
+        pops = acted[i] ** 2
+        guard_truncation(pops.sum(axis=1), what=f"supermode {i + 1} arm A")
+        guard_truncation(pops.sum(axis=0), what=f"supermode {i + 1} arm B")
+    lognegs = _log_negativities(acted)
     return DistillResult(lognegs, float(lognegs.sum()), prob)
 
 
@@ -197,12 +222,12 @@ def distill(scenario: DistillScenario, n_max: int) -> DistillResult:
                           scenario.amplified_index)
 
 
-def reference_no_nla(lossy: list) -> DistillResult:
+def reference_no_nla(lossy: np.ndarray) -> DistillResult:
     """Channel-only baseline: no amplifier, unit success probability.
 
-    ``lossy`` is the list produced by :func:`lossy_pdc_densities`.
+    ``lossy`` is the stack produced by :func:`lossy_pdc_densities`.
     """
-    lognegs = np.array([log_negativity(rho) for rho in lossy])
+    lognegs = _log_negativities(lossy)
     return DistillResult(lognegs, float(lognegs.sum()), 1.0)
 
 

@@ -1,8 +1,9 @@
 """Truncated-Fock-space kernel.
 
 States, diagonal operators, beam-splitter unitaries, pure-loss channels,
-partial transposition and the negativity-based entanglement measures that
-everything else in the package is built on.
+partial transposition and the negativity-based entanglement measures.  The
+bipartite density code is the dense reference that the photon-number-graded
+distillation kernel of :mod:`nlasim.distill` is tested against.
 
 Conventions
 -----------
@@ -25,9 +26,6 @@ from typing import Literal
 
 import numpy as np
 from scipy.linalg import eigvalsh, expm
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.special import comb
 
 Arm = Literal["A", "B"]
 
@@ -265,15 +263,14 @@ class BipartiteDensity:
             raise ValueError(f"matrix has eigenvalue {evals.min():.3e} < 0")
 
 
-def tmsv_density(r: float, n_max: int, tail_tol: float = 1e-10,
-                 normalize: bool = True) -> BipartiteDensity:
+def tmsv_density(r: float, n_max: int,
+                 tail_tol: float = 1e-10) -> BipartiteDensity:
     """Two-mode squeezed vacuum |psi><psi| with Schmidt form sum_n c_n |nn>."""
     c = tmsv_schmidt(r, n_max, tail_tol)
     dim = n_max + 1
     vec = np.zeros(dim * dim, dtype=complex)
     vec[np.arange(dim) * dim + np.arange(dim)] = c
-    if normalize:
-        vec /= np.linalg.norm(vec)
+    vec /= np.linalg.norm(vec)
     return BipartiteDensity(np.outer(vec, vec.conj()))
 
 
@@ -328,7 +325,7 @@ def loss_kraus_operators(eta: float, n_max: int) -> np.ndarray:
     kraus = np.zeros((dim, dim, dim))
     for l in range(dim):
         for n in range(l, dim):
-            kraus[l, n - l, n] = math.sqrt(comb(n, l)) * \
+            kraus[l, n - l, n] = math.sqrt(math.comb(n, l)) * \
                 eta ** ((n - l) / 2.0) * (1.0 - eta) ** (l / 2.0)
     return kraus
 
@@ -393,31 +390,6 @@ def partial_transpose(rho: BipartiteDensity, arm: Arm = "B") -> np.ndarray:
     return out.reshape(d * d, d * d).copy()
 
 
-def _eigvalsh_by_blocks(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, solved per connected component.
-
-    The sparsity pattern is split into connected components; the loss and
-    post-selection pipelines produce matrices that are block diagonal under a
-    photon-number-sum grading, which this exploits without assuming it.
-    """
-    pattern = csr_matrix(h != 0.0)
-    n_comp, labels = connected_components(pattern, directed=False)
-    if n_comp <= 1:
-        return eigvalsh(h)
-    sizes = np.bincount(labels, minlength=n_comp)
-    out = np.empty(h.shape[0])
-    pos = 0
-    # singleton components are their own eigenvalues; no solver needed
-    singles = np.flatnonzero(sizes[labels] == 1)
-    out[:singles.size] = h[singles, singles].real
-    pos = singles.size
-    for c in np.flatnonzero(sizes > 1):
-        idx = np.flatnonzero(labels == c)
-        out[pos:pos + idx.size] = eigvalsh(h[np.ix_(idx, idx)])
-        pos += idx.size
-    return out
-
-
 def negativity(rho: BipartiteDensity) -> float:
     """Entanglement negativity: |sum of negative eigenvalues| of rho^T_B.
 
@@ -426,7 +398,7 @@ def negativity(rho: BipartiteDensity) -> float:
     if abs(rho.trace_value - 1.0) > 1e-10:
         raise NormalizationError(
             f"negativity needs trace 1, got {rho.trace_value!r}")
-    evals = _eigvalsh_by_blocks(partial_transpose(rho, "B"))
+    evals = eigvalsh(partial_transpose(rho, "B"))
     return float(-evals[evals < 0.0].sum())
 
 

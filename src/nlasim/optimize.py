@@ -154,7 +154,7 @@ def max_success_given_fidelity(alpha: complex, target_gain: float, kind: str,
     return best
 
 
-def maximize_total_logneg(scenario, lossy: list,
+def maximize_total_logneg(scenario, lossy: np.ndarray,
                           config: SweepConfig | None = None):
     """T-optimised distillation result for a fixed scenario and unit count.
 

@@ -20,7 +20,7 @@ import pytest
 from nlasim import fock, nla, oracle
 from nlasim.cli import main as cli_main
 from nlasim.distill import (PdcSpec, apply_strategy, cascade_compare,
-                            lossy_pdc_densities)
+                            lossy_pdc_densities, reference_no_nla)
 from nlasim.fock import ChannelSpec, log_negativity, squeezing_from_db
 from nlasim.nla import NlaSpec, amplify_coherent, equal_gain_transmissivity
 from nlasim.optimize import (SweepConfig, max_fidelity_profile,
@@ -242,7 +242,7 @@ def _threshold_scan():
     t0 = time.perf_counter()
     for db in range(31):
         lossy = lossy_pdc_densities(pdc, ChannelSpec(float(db)), 20)
-        ref = sum(log_negativity(rho) for rho in lossy)
+        ref = reference_no_nla(lossy).total_logneg
         for kind in ("QS", "PC"):
             def objective(t, _kind=kind):
                 return apply_strategy(lossy,

@@ -258,11 +258,14 @@ DISTILL_MIN = {"attenuations_db": [0.0]}
     ("distill", {"scenario": 2, "decay": 1.5, "attenuations_db": [0]}),
     ("distill", {"attenuations_db": [-1.0]}),
     ("cascade-compare", {"r_db": -1.0}),
+    ("distill", {**DISTILL_MIN, "r1_db": -2.0}),
+    ("sweep", {"r1_db": -2.0}),
 ], ids=["bool", "inf", "nan", "empty-grid", "unknown-kind", "bad-strategy",
         "scenario-4", "amplified-index", "grid-points-3", "t-min-ge-t-max",
         "n-max-1", "unknown-optimizer-key", "bad-format", "workers-0",
         "non-string-out", "unknown-check", "decay-out-of-range",
-        "negative-attenuation", "negative-squeezing"])
+        "negative-attenuation", "negative-squeezing", "negative-r1-db",
+        "sweep-negative-r1-db"])
 def test_bad_config_is_config_error_before_any_work(
         tmp_path, capsys, monkeypatch, experiment, payload):
     def no_work(*args):

@@ -4,20 +4,74 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlasim.distill import (DistillScenario, PdcSpec, apply_strategy,
                             cascade_compare, distill, lossy_pdc_densities,
                             reference_no_nla, scenario_lambdas)
-from nlasim.fock import (ChannelSpec, TruncationError, apply_loss,
-                         log_negativity, squeezing_from_db, tmsv_density,
-                         tmsv_schmidt)
-from nlasim.nla import NlaSpec, nla_diagonal
+from nlasim.fock import (BipartiteDensity, ChannelSpec, TruncationError,
+                         apply_diagonal, apply_loss, attenuator_diagonal,
+                         guard_truncation, log_negativity, squeezing_from_db,
+                         tmsv_density, tmsv_schmidt,
+                         vacuum_projection_diagonal)
+from nlasim.nla import VALID_KINDS, NlaSpec, nla_diagonal
 
 N_MAX = 20
+N_SMALL = 10       # keeps the dense reference cheap
 
 
 def scenario1(r1_db=5.0):
     return PdcSpec.from_scenario(1, r1_db)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the Kraus loss channel, Fock-diagonal sandwich and dense
+# log-negativity of nlasim.fock, one supermode at a time
+
+def dense_source(pdc, channel, n_max):
+    return [apply_loss(tmsv_density(r, n_max), "B", channel)
+            for r in pdc.squeezings]
+
+
+def dense_strategy(dense, nla, strategy="unfiltered", amplified_index=1):
+    """(per-supermode log-negativities, herald probability) on dense states."""
+    n_max = dense[0].n_max
+    if nla.kind == "QS":
+        passive = vacuum_projection_diagonal(n_max)
+    else:
+        stages = nla.n_units if nla.kind == "CascadedPC" else 1
+        passive = attenuator_diagonal(nla.transmissivity ** stages, n_max)
+    lognegs, prob = [], 1.0
+    for i, rho in enumerate(dense):
+        if i == amplified_index - 1:
+            op = nla_diagonal(nla, n_max)
+        elif strategy == "unfiltered":
+            op = passive
+        else:
+            lognegs.append(log_negativity(rho))
+            continue
+        acted = apply_diagonal(rho, "B", op)
+        if acted.trace_value <= 0.0:
+            raise ValueError("herald probability vanished")
+        prob *= acted.trace_value
+        normed = acted.normalized()
+        guard_truncation(normed.arm_populations("A"))
+        guard_truncation(normed.arm_populations("B"))
+        lognegs.append(log_negativity(normed))
+    return np.array(lognegs), prob
+
+
+def graded_density(amp):
+    """Dense matrix of the graded state sum_l |v_l><v_l|."""
+    dim = amp.shape[0]
+    matrix = np.zeros((dim * dim, dim * dim))
+    for lost in range(dim):
+        n = np.arange(lost, dim)
+        v = np.zeros((dim, dim))
+        v[n, n - lost] = amp[n, n - lost]
+        matrix += np.outer(v.ravel(), v.ravel())
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -52,20 +106,19 @@ def test_from_scenario_anchors_first_squeezing():
 
 
 def test_source_skips_loss_where_channel_cannot_act():
+    # the closed form has no branch for a vacuum supermode or a lossless
+    # channel; at every eta, 0 and 1 included, it is the dense Kraus sum
     pdc = PdcSpec.from_scenario(1, 5.0, k_modes=3)
     for channel in (ChannelSpec(0.0), ChannelSpec(6.0), 1.0, 0.3, 0.0):
         lossy = lossy_pdc_densities(pdc, channel, N_MAX)
-        assert len(lossy) == 3
-        assert all(rho.n_max == N_MAX for rho in lossy)
+        assert lossy.shape == (3, N_MAX + 1, N_MAX + 1)
         # inactive supermodes stay vacuum
-        vacuum = np.zeros_like(lossy[1].matrix)
+        vacuum = np.zeros((N_MAX + 1, N_MAX + 1))
         vacuum[0, 0] = 1.0
-        assert np.array_equal(lossy[1].matrix, vacuum)
-        # the Kraus sum would give the same bits where it is skipped
-        for r, rho in zip(pdc.squeezings, lossy):
-            kraus = apply_loss(tmsv_density(r, N_MAX), "B", channel)
-            assert rho.matrix.tobytes() == kraus.matrix.tobytes()
-            assert rho.trace_value == kraus.trace_value
+        assert np.array_equal(lossy[1], vacuum)
+        assert np.array_equal(lossy[2], vacuum)
+        for amp, kraus in zip(lossy, dense_source(pdc, channel, N_MAX)):
+            assert np.abs(graded_density(amp) - kraus.matrix).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +171,7 @@ def test_success_prob_is_product_of_heralds():
     lossy = lossy_pdc_densities(pdc, 1.0, N_MAX)
     res = apply_strategy(lossy, nla, "unfiltered")
     probs = []
-    from nlasim.fock import apply_diagonal, attenuator_diagonal
-    from nlasim.nla import nla_diagonal
-    for i, rho in enumerate(lossy):
+    for i, rho in enumerate(dense_source(pdc, 1.0, N_MAX)):
         op = nla_diagonal(nla, N_MAX) if i == 0 else \
             attenuator_diagonal(0.2, N_MAX)
         probs.append(apply_diagonal(rho, "B", op).trace_value)
@@ -138,7 +189,8 @@ def test_filtered_strategy_leaves_other_supermodes_alone():
         unfiltered.per_supermode_logneg[0], rel=1e-12)
     # scissors herald destroys unfiltered bystanders, filter preserves them
     assert np.all(unfiltered.per_supermode_logneg[1:] == 0.0)
-    want = [log_negativity(rho) for rho in lossy[1:]]
+    dense = dense_source(pdc, ChannelSpec(2.0), N_MAX)
+    want = [log_negativity(rho) for rho in dense[1:]]
     assert np.abs(filtered.per_supermode_logneg[1:] - want).max() < 1e-12
 
 
@@ -146,7 +198,7 @@ def test_unfiltered_catalysis_attenuates_bystanders():
     pdc = PdcSpec.from_scenario(2, 4.0, k_modes=3)
     lossy = lossy_pdc_densities(pdc, 1.0, N_MAX)
     res = apply_strategy(lossy, NlaSpec("PC", 2, 0.3), "unfiltered")
-    bare = [log_negativity(rho) for rho in lossy[1:]]
+    bare = [log_negativity(rho) for rho in dense_source(pdc, 1.0, N_MAX)[1:]]
     assert np.all(res.per_supermode_logneg[1:] > 0.0)
     assert np.all(res.per_supermode_logneg[1:] < bare)
 
@@ -171,6 +223,47 @@ def test_single_supermode_lossless_catalysis_matches_pure_state_form():
     assert got[0.08] - ref == pytest.approx(0.31, abs=0.01)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scenario=st.sampled_from((1, 2, 3)),
+       r1_db=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+       k_modes=st.integers(1, 4),
+       channel=st.one_of(st.just(0.0), st.just(ChannelSpec(0.0)),
+                         st.floats(0.0, 30.0).map(ChannelSpec)),
+       kind=st.sampled_from(VALID_KINDS), n_units=st.integers(1, 3),
+       t=st.floats(1e-3, 0.999),
+       strategy=st.sampled_from(("unfiltered", "filtered")),
+       data=st.data())
+def test_graded_path_matches_dense_reference(scenario, r1_db, k_modes,
+                                             channel, kind, n_units, t,
+                                             strategy, data):
+    amplified_index = data.draw(st.integers(1, k_modes))
+    pdc = PdcSpec.from_scenario(scenario, r1_db, k_modes)
+    nla = NlaSpec(kind, n_units, t)
+    try:
+        want, want_prob = dense_strategy(dense_source(pdc, channel, N_SMALL),
+                                         nla, strategy, amplified_index)
+    except ValueError as exc:       # truncation guard or vanished herald
+        with pytest.raises(ValueError) as info:
+            apply_strategy(lossy_pdc_densities(pdc, channel, N_SMALL), nla,
+                           strategy, amplified_index)
+        assert type(info.value) is type(exc)
+        return
+    lossy = lossy_pdc_densities(pdc, channel, N_SMALL)
+    got = apply_strategy(lossy, nla, strategy, amplified_index)
+    assert np.abs(got.per_supermode_logneg - want).max() <= 1e-13
+    assert abs(got.total_logneg - want.sum()) <= 1e-13
+    assert abs(got.success_prob - want_prob) <= 1e-13 * want_prob
+    assert 0.0 < got.success_prob <= 1.0
+    # a vacuum bystander scores exactly 0 and multiplies the herald
+    # probability by exactly 1: dropping it changes no bit
+    target = amplified_index - 1
+    keep = (pdc.squeezings != 0) | (np.arange(k_modes) == target)
+    assert np.all(got.per_supermode_logneg[~keep] == 0.0)
+    without = apply_strategy(lossy[keep], nla, strategy,
+                             int(keep[:target].sum()) + 1)
+    assert without.success_prob == got.success_prob
+
+
 def test_amplified_index_selects_supermode():
     pdc = PdcSpec.from_scenario(2, 4.0, k_modes=3)
     lossy = lossy_pdc_densities(pdc, 1.0, N_MAX)
@@ -181,7 +274,7 @@ def test_amplified_index_selects_supermode():
     assert r1.per_supermode_logneg[0] != pytest.approx(
         r2.per_supermode_logneg[0], rel=1e-6)
     assert r2.per_supermode_logneg[0] == pytest.approx(
-        log_negativity(lossy[0]), rel=1e-12)
+        log_negativity(dense_source(pdc, 1.0, N_MAX)[0]), rel=1e-12)
 
 
 def test_scenario_validation():
@@ -197,6 +290,19 @@ def test_scenario_validation():
 def test_truncation_guard_on_source():
     with pytest.raises(TruncationError):
         lossy_pdc_densities(scenario1(), 1.0, 10)
+    # the guards after the amplifier, on single-supermode stacks built to
+    # trip them: a top bin as full as the peak, and a state the scissors
+    # cannot pass
+    flat = np.eye(N_SMALL + 1)[None] / math.sqrt(N_SMALL + 1)
+    fock5 = np.zeros((1, N_SMALL + 1, N_SMALL + 1))
+    fock5[0, 5, 5] = 1.0
+    for amp, nla, error in ((flat, NlaSpec("PC", 1, 0.9), TruncationError),
+                            (fock5, NlaSpec("QS", 1, 0.5), ValueError)):
+        with pytest.raises(error, match="supermode 1"):
+            apply_strategy(amp, nla)
+        dense = [BipartiteDensity(graded_density(amp[0]))]
+        with pytest.raises(error):
+            dense_strategy(dense, nla)
 
 
 # ---------------------------------------------------------------------------
