@@ -101,11 +101,14 @@ def _number(raw, where: str) -> float:
     return float(raw)
 
 
-def _integer(raw, where: str, minimum: int = 1) -> int:
+def _integer(raw, where: str, minimum: int = 1,
+             maximum: int | None = None) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
         _fail(where, f"expected an integer, got {raw!r}")
     if raw < minimum:
         _fail(where, f"must be >= {minimum}, got {raw}")
+    if maximum is not None and raw > maximum:
+        _fail(where, f"must be <= {maximum}, got {raw}")
     return raw
 
 
@@ -150,11 +153,17 @@ def _parse(raw: dict, table: dict, prefix: str = "") -> dict:
     return out
 
 
+# typo guards: far above any real run, far below a memory-exhausting request
+_MAX_K_MODES = 64
+_MAX_N_MAX = 200
+_MAX_GRID_POINTS = 100_000
+
 # canonical order, so output ordering never depends on config order
 _KINDS = _grid(_choice(*VALID_KINDS), key=VALID_KINDS.index)
 
 _OPTIMIZER = {"t_min": (_number, _ABSENT), "t_max": (_number, _ABSENT),
-              "grid_points": (partial(_integer, minimum=4), _ABSENT),
+              "grid_points": (partial(_integer, minimum=4,
+                                      maximum=_MAX_GRID_POINTS), _ABSENT),
               "refine_tolerance": (_number, _ABSENT)}
 
 
@@ -176,12 +185,14 @@ _OUTPUT = {"out": (_path, None), "format": (_choice("csv", "jsonl"), "csv"),
 
 def _common(experiment: str, n_max: int, n_max_minimum: int = 2) -> dict:
     return {"experiment": (_choice(experiment), experiment),
-            "n_max": (partial(_integer, minimum=n_max_minimum), n_max),
+            "n_max": (partial(_integer, minimum=n_max_minimum,
+                              maximum=_MAX_N_MAX), n_max),
             "optimizer": (_optimizer, None)}
 
 
 _SOURCE = {"scenario": (_integer, 1), "r1_db": (_number, 5.0),
-           "k_modes": (_integer, 5), "decay": (_number, 0.6),
+           "k_modes": (partial(_integer, maximum=_MAX_K_MODES), 5),
+           "decay": (_number, 0.6),
            "strategy": (_choice("unfiltered", "filtered"), "unfiltered"),
            "amplified_index": (_integer, 1)}
 

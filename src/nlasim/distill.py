@@ -96,6 +96,8 @@ class PdcSpec:
                       k_modes: int = DEFAULT_SUPERMODES,
                       decay: float = DEFAULT_DECAY) -> "PdcSpec":
         """Pin the source by its strongest-supermode squeezing in dB."""
+        if r1_db < 0:
+            raise ValueError("r1_db must be >= 0")
         raw = scenario_lambdas(scenario, k_modes, decay)
         lam = raw / math.sqrt((raw ** 2).sum())
         r1 = squeezing_from_db(r1_db)

@@ -10,8 +10,8 @@ Fock basis once the ancilla and detection pattern are fixed:
   parallel arrangement, gain g = (1-2T)/sqrt(T) onto the phase-flipped
   target (amplifying for T < 1/4), plus the N-fold cascaded variant.
 
-The alternating sums in the parallel-catalysis coefficients are evaluated in
-exact rational arithmetic before the final float rounding, so no
+The alternating sums in the parallel-catalysis coefficients are formed as one
+exact integer numerator over one integer denominator and rounded once, so no
 catastrophic cancellation occurs anywhere in the supported parameter range.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal
 
 import numpy as np
@@ -109,29 +108,23 @@ def qs_nla_diagonal(n_units: int, transmissivity: float,
         raise ValueError("transmissivity must lie strictly in (0, 1)")
     coeffs = np.zeros(n_max + 1)
     for n in range(min(n_units, n_max) + 1):
-        comb_factor = Fraction(math.perm(n_units, n), n_units ** n)
         # sqrt(T)^N g^n = T^((N-n)/2) (1-T)^(n/2)
-        coeffs[n] = float(comb_factor) * t ** ((n_units - n) / 2.0) \
+        coeffs[n] = math.perm(n_units, n) / n_units ** n \
+            * t ** ((n_units - n) / 2.0) \
             * (1.0 - t) ** (n / 2.0)
     return DiagonalOperator(coeffs)
-
-
-def _pc_sum(n_units: int, n: int, p: Fraction) -> Fraction:
-    # sum_j C(N,j) n!/(n-j)! (p/N)^j, exact; empty terms drop via perm() = 0
-    total = Fraction(0)
-    for j in range(min(n_units, n) + 1):
-        total += math.comb(n_units, j) * math.perm(n, j) * \
-            (p / n_units) ** j
-    return total
 
 
 def pc_nla_diagonal(n_units: int, transmissivity: float,
                     n_max: int) -> DiagonalOperator:
     """Fock coefficients of the N-unit parallel photon-catalysis amplifier.
 
-    d_n = sqrt(T)^(N+n) * sum_j C(N,j) n!/(n-j)! (p/N)^j with p = (T-1)/T;
-    the alternating sum is done in exact rationals (p taken at the binary
-    float value of T) and rounded once at the end.
+    d_n = sqrt(T)^(N+n) * sum_j C(N,j) n!/(n-j)! (p/N)^j with p = (T-1)/T.
+    The binary float T is exactly M/2^e, so p/N = q/(M N) with q = M - 2^e,
+    and the alternating sum over j <= J = min(N, n) is the exact integer
+    sum_j C(N,j) n!/(n-j)! q^j (M N)^(J-j) over (M N)^J.  Python's int/int
+    division rounds that rational once, correctly, so analytic zeros are
+    exact zeros.
 
     The 1/N^n of the (p/N)^j and permutation factors is the splitter
     fan-out normalisation; it is pinned against the explicit path
@@ -144,12 +137,15 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
         raise ValueError("n_units must be >= 1")
     if not 0.0 < t < 1.0:
         raise ValueError("transmissivity must lie strictly in (0, 1)")
-    tf = Fraction(t)
-    p = (tf - 1) / tf
+    m, two_e = t.as_integer_ratio()
+    q, mn = m - two_e, m * n_units
     root_t = math.sqrt(t)
     coeffs = np.empty(n_max + 1)
     for n in range(n_max + 1):
-        coeffs[n] = root_t ** (n_units + n) * float(_pc_sum(n_units, n, p))
+        top = min(n_units, n)
+        num = sum(math.comb(n_units, j) * math.perm(n, j) * q ** j
+                  * mn ** (top - j) for j in range(top + 1))
+        coeffs[n] = root_t ** (n_units + n) * (num / mn ** top)
     return DiagonalOperator(coeffs)
 
 

@@ -84,9 +84,11 @@ def test_flag_overrides_beat_config(tmp_path):
 
 
 # any JSON value at any key: accepted or a ConfigError, never another error.
-# Integers stay small because validation builds a k_modes-long source profile.
+# Integers reach 10**12: k_modes, n_max and grid_points are bounded, so a huge
+# value is a ConfigError, not a k_modes-long source profile built to check it.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-10, 100) | st.floats()
+    st.none() | st.booleans() | st.integers(-10, 100)
+    | st.integers(-10 ** 12, 10 ** 12) | st.floats()
     | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -237,44 +239,57 @@ def test_unknown_key_gives_exit_1(tmp_path, capsys):
 DISTILL_MIN = {"attenuations_db": [0.0]}
 
 
-@pytest.mark.parametrize("experiment, payload", [
-    ("distill", {**DISTILL_MIN, "r1_db": True}),
-    ("distill", {**DISTILL_MIN, "r1_db": math.inf}),
-    ("distill", {**DISTILL_MIN, "decay": math.nan}),
-    ("distill", {"attenuations_db": []}),
-    ("distill", {**DISTILL_MIN, "kinds": ["QS", "QQ"]}),
-    ("distill", {**DISTILL_MIN, "strategy": "bogus"}),
-    ("distill", {**DISTILL_MIN, "scenario": 4}),
-    ("distill", {**DISTILL_MIN, "k_modes": 3, "amplified_index": 4}),
-    ("distill", {**DISTILL_MIN, "optimizer": {"grid_points": 3}}),
-    ("distill", {**DISTILL_MIN, "optimizer": {"t_min": 0.5, "t_max": 0.5}}),
-    ("distill", {**DISTILL_MIN, "n_max": 1}),
-    ("distill", {**DISTILL_MIN, "optimizer": {"bogus": 1}}),
-    ("distill", {**DISTILL_MIN, "format": "xml"}),
-    ("distill", {**DISTILL_MIN, "workers": 0}),
-    ("distill", {**DISTILL_MIN, "out": 3}),
-    ("verify", {"checks": ["no_such_check"]}),
+@pytest.mark.parametrize("experiment, payload, named", [
+    ("distill", {**DISTILL_MIN, "r1_db": True}, "r1_db"),
+    ("distill", {**DISTILL_MIN, "r1_db": math.inf}, "r1_db"),
+    ("distill", {**DISTILL_MIN, "decay": math.nan}, "decay"),
+    ("distill", {"attenuations_db": []}, "attenuations_db"),
+    ("distill", {**DISTILL_MIN, "kinds": ["QS", "QQ"]}, "kinds"),
+    ("distill", {**DISTILL_MIN, "strategy": "bogus"}, "strategy"),
+    ("distill", {**DISTILL_MIN, "scenario": 4}, "scenario"),
+    ("distill", {**DISTILL_MIN, "k_modes": 3, "amplified_index": 4},
+     "amplified_index"),
+    ("distill", {**DISTILL_MIN, "optimizer": {"grid_points": 3}},
+     "grid_points"),
+    ("distill", {**DISTILL_MIN, "optimizer": {"t_min": 0.5, "t_max": 0.5}},
+     "t_min"),
+    ("distill", {**DISTILL_MIN, "n_max": 1}, "n_max"),
+    ("distill", {**DISTILL_MIN, "optimizer": {"bogus": 1}}, "bogus"),
+    ("distill", {**DISTILL_MIN, "format": "xml"}, "format"),
+    ("distill", {**DISTILL_MIN, "workers": 0}, "workers"),
+    ("distill", {**DISTILL_MIN, "out": 3}, "out"),
+    ("verify", {"checks": ["no_such_check"]}, "checks"),
     # out-of-range values the domain constructors reject
-    ("distill", {"scenario": 2, "decay": 1.5, "attenuations_db": [0]}),
-    ("distill", {"attenuations_db": [-1.0]}),
-    ("cascade-compare", {"r_db": -1.0}),
-    ("distill", {**DISTILL_MIN, "r1_db": -2.0}),
-    ("sweep", {"r1_db": -2.0}),
+    ("distill", {"scenario": 2, "decay": 1.5, "attenuations_db": [0]},
+     "decay"),
+    ("distill", {"attenuations_db": [-1.0]}, "attenuation"),
+    ("cascade-compare", {"r_db": -1.0}, None),
+    ("distill", {**DISTILL_MIN, "r1_db": -2.0}, "r1_db"),
+    ("sweep", {"r1_db": -2.0}, "r1_db"),
+    # typo guards on the sizes that set allocations
+    ("distill", {**DISTILL_MIN, "k_modes": 10 ** 10}, "k_modes"),
+    ("sweep", {"n_max": 201}, "n_max"),
+    ("amplify", {**AMPLIFY_MIN, "optimizer": {"grid_points": 100_001}},
+     "grid_points"),
 ], ids=["bool", "inf", "nan", "empty-grid", "unknown-kind", "bad-strategy",
         "scenario-4", "amplified-index", "grid-points-3", "t-min-ge-t-max",
         "n-max-1", "unknown-optimizer-key", "bad-format", "workers-0",
         "non-string-out", "unknown-check", "decay-out-of-range",
         "negative-attenuation", "negative-squeezing", "negative-r1-db",
-        "sweep-negative-r1-db"])
+        "sweep-negative-r1-db", "huge-k-modes", "n-max-above-bound",
+        "grid-points-above-bound"])
 def test_bad_config_is_config_error_before_any_work(
-        tmp_path, capsys, monkeypatch, experiment, payload):
+        tmp_path, capsys, monkeypatch, experiment, payload, named):
     def no_work(*args):
         raise AssertionError("work started on a rejected config")
 
     monkeypatch.setattr(cli, "_fan_out", no_work)
     path = write_config(tmp_path, payload)
     assert main([experiment, "--config", path]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    # a negative r_db still reports the derived gain it sets
+    assert named is None or named in err
 
 
 # ---------------------------------------------------------------------------

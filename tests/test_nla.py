@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlasim.fock import TruncationError, coherent_state
 from nlasim.nla import (AmplifyResult, NlaSpec, amplify_coherent,
@@ -108,6 +110,61 @@ def test_pc_diagonal_zeroth_coefficient():
         for t in (0.1, 0.5, 0.9):
             d = pc_nla_diagonal(n_units, t, 2).coeffs
             assert d[0] == pytest.approx(math.sqrt(t) ** n_units, rel=1e-14)
+
+
+# the literal slow references, beside the path enumeration of
+# oracle.pc_nla_multinomial: the alternating catalysis sum and the scissors
+# fan-out factor in exact Fractions, each rounded to float once at the end
+def fraction_pc_diagonal(n_units, t, n_max):
+    p = (Fraction(t) - 1) / Fraction(t)
+    coeffs = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        total = Fraction(0)
+        for j in range(min(n_units, n) + 1):
+            total += math.comb(n_units, j) * math.perm(n, j) * \
+                (p / n_units) ** j
+        coeffs[n] = math.sqrt(t) ** (n_units + n) * float(total)
+    return coeffs
+
+
+def fraction_qs_diagonal(n_units, t, n_max):
+    coeffs = np.zeros(n_max + 1)
+    for n in range(min(n_units, n_max) + 1):
+        comb_factor = Fraction(math.perm(n_units, n), n_units ** n)
+        coeffs[n] = float(comb_factor) * t ** ((n_units - n) / 2.0) \
+            * (1.0 - t) ** (n / 2.0)
+    return coeffs
+
+
+def _bytes_or_overflow(build):
+    # a tiny T overflows the sum past the float range on both paths
+    try:
+        return build().tobytes()
+    except OverflowError:
+        return OverflowError
+
+
+TRANSMISSIVITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
+                             allow_subnormal=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n_units=st.integers(1, 12), t=TRANSMISSIVITIES,
+       n_max=st.integers(0, 40))
+@example(n_units=12, t=1.0 - 2.0 ** -53, n_max=40)
+@example(n_units=3, t=5e-324, n_max=40)
+@example(n_units=2, t=1e-300, n_max=1)
+def test_diagonals_bitwise_equal_fraction_reference(n_units, t, n_max):
+    assert _bytes_or_overflow(
+        lambda: pc_nla_diagonal(n_units, t, n_max).coeffs) == \
+        _bytes_or_overflow(lambda: fraction_pc_diagonal(n_units, t, n_max))
+    assert qs_nla_diagonal(n_units, t, n_max).coeffs.tobytes() == \
+        fraction_qs_diagonal(n_units, t, n_max).tobytes()
+
+
+def test_pc_diagonal_analytic_zero_is_exact():
+    # N = 2, T = 1/2: d_1 = sqrt(T)^3 (1 + p) with p = -1
+    assert pc_nla_diagonal(2, 0.5, 3).coeffs[1] == 0.0
 
 
 def test_pc_diagonal_large_unit_count_stable():
