@@ -2,14 +2,11 @@
 linear amplifiers, for coherent-state amplification and multimode
 entanglement distillation."""
 
-from .fock import (BeamSplitterUnitary, BipartiteDensity, ChannelSpec,
-                   DiagonalOperator, NormalizationError, PureStateVector,
-                   TruncationError, apply_diagonal, apply_loss,
+from .fock import (BeamSplitterUnitary, ChannelSpec, DiagonalOperator,
+                   NormalizationError, PureStateVector, TruncationError,
                    attenuator_diagonal, beam_splitter_unitary, coherent_state,
-                   log_negativity, loss_kraus_operators, negativity,
-                   partial_transpose, squeezing_from_db, squeezing_to_db,
-                   tmsv_density, tmsv_schmidt, transmissivity_from_db,
-                   vacuum_projection_diagonal)
+                   squeezing_from_db, squeezing_to_db, tmsv_schmidt,
+                   transmissivity_from_db, vacuum_projection_diagonal)
 from .nla import (AmplifyResult, NlaSpec, amplify_coherent,
                   cascaded_pc_diagonal, equal_gain_transmissivity,
                   fidelity_to_coherent, nla_diagonal, pc_gain,
@@ -18,8 +15,7 @@ from .nla import (AmplifyResult, NlaSpec, amplify_coherent,
 from .distill import (DistillResult, DistillScenario, PdcSpec,
                       cascade_compare, distill, lossy_pdc_densities,
                       reference_no_nla, scenario_lambdas)
-from .optimize import (InfeasibleError, SweepConfig, max_fidelity_profile,
-                       max_success_given_fidelity, maximize_over_T,
+from .optimize import (SweepConfig, max_fidelity_profile, maximize_over_T,
                        maximize_total_logneg)
 
 __version__ = "0.1.0"

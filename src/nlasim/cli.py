@@ -12,7 +12,8 @@ Subcommands
 
 Config files are JSON objects.  Unknown keys and out-of-range values are
 rejected before any work starts; ``--out``, ``--format`` and ``--workers``
-override their config counterparts.  All keys except the grids have defaults:
+override their config counterparts, and the verify-only ``--tolerance``
+overrides every check's tolerance.  All keys except the grids have defaults:
 
     {"experiment": "distill",            # optional, must match the subcommand
      "out": "rows.csv", "format": "csv", # or "jsonl"
@@ -52,8 +53,7 @@ from .distill import (DistillScenario, PdcSpec, apply_strategy,
 from .fock import (ChannelSpec, NormalizationError, TruncationError,
                    squeezing_from_db)
 from .nla import VALID_KINDS, NlaSpec
-from .optimize import (InfeasibleError, SweepConfig, max_fidelity_profile,
-                       maximize_total_logneg)
+from .optimize import SweepConfig, max_fidelity_profile, maximize_total_logneg
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,8 +83,9 @@ class ExperimentConfig:
 # config validation: one key -> (parser, default) table per experiment.  The
 # parsers check types only; validate_config then builds the domain objects
 # once, so their constructors' range rules apply before any work, and hands
-# them to the runners: params["optimizer"] is a SweepConfig and, for distill
-# and sweep, params["points"] holds one DistillScenario per output row.
+# them to the runners: outside verify params["optimizer"] is a SweepConfig
+# and, for distill and sweep, params["points"] holds one DistillScenario per
+# output row.
 
 _ABSENT = object()      # default of an optional key that has none
 
@@ -183,10 +184,9 @@ _OUTPUT = {"out": (_path, None), "format": (_choice("csv", "jsonl"), "csv"),
            "workers": (_workers, None)}
 
 
-def _common(experiment: str, n_max: int, n_max_minimum: int = 2) -> dict:
+def _common(experiment: str, n_max: int) -> dict:
     return {"experiment": (_choice(experiment), experiment),
-            "n_max": (partial(_integer, minimum=n_max_minimum,
-                              maximum=_MAX_N_MAX), n_max),
+            "n_max": (partial(_integer, minimum=2, maximum=_MAX_N_MAX), n_max),
             "optimizer": (_optimizer, None)}
 
 
@@ -213,7 +213,7 @@ _TABLES = {
               "attenuation_db": (_number, 0.0),
               "kind": (_choice(*VALID_KINDS), "PC"),
               "n_units": (_integer, 2)},
-    "verify": {**_common("verify", 0, n_max_minimum=0),
+    "verify": {"experiment": (_choice("verify"), "verify"),
                "tolerance": (_number, _ABSENT),
                "checks": (_check_names, _ABSENT)},
 }
@@ -234,9 +234,11 @@ def load_config(path: str) -> dict:
 
 def _build_domain(experiment: str, p: dict) -> None:
     """Build the domain objects once; their constructors own the ranges."""
+    if experiment == "verify":
+        return
     p["optimizer"] = SweepConfig(**p["optimizer"])
-    if experiment == "cascade-compare":
-        PdcSpec(np.ones(1), squeezing_from_db(p["r_db"]))
+    if experiment == "cascade-compare" and p["r_db"] < 0:
+        raise ValueError("r_db must be >= 0")
     if experiment not in ("distill", "sweep"):
         return
     pdc = PdcSpec.from_scenario(p["scenario"], p["r1_db"], p["k_modes"],
@@ -394,7 +396,7 @@ def _dev_pc_multinomial() -> float:
 def _dev_pc_circuit() -> float:
     dev = 0.0
     for t in (0.2, 0.5, 0.8):
-        got = oracle.pc_circuit_operator(t, 6).operator_matrix
+        got = oracle.pc_circuit_operator(t, 6)
         want = np.diag(nla.single_pc_diagonal(t, 6).coeffs)
         dev = max(dev, float(np.abs(got - want).max()))
     return dev
@@ -404,13 +406,12 @@ def _dev_qs_circuit() -> float:
     dev = 0.0
     for t1 in (0.3, 0.5, 0.7):
         for t2 in (0.2, 0.6, 0.9):
-            keep = oracle.qs_circuit_operator(t1, t2, 5).operator_matrix
+            keep = oracle.qs_circuit_operator(t1, t2, 5)
             want = np.zeros_like(keep)
             want[0, 0] = math.sqrt(t1 * t2)
             want[1, 1] = math.sqrt((1 - t1) * (1 - t2))
             dev = max(dev, float(np.abs(keep - want).max()))
-            swap = oracle.qs_circuit_operator(t1, t2, 5,
-                                              detect="c").operator_matrix
+            swap = oracle.qs_circuit_operator(t1, t2, 5, detect="c")
             want[0, 0] = -math.sqrt((1 - t1) * t2)
             want[1, 1] = math.sqrt(t1 * (1 - t2))
             dev = max(dev, float(np.abs(swap - want).max()))
@@ -424,7 +425,7 @@ def _dev_qs_multimode() -> float:
         want[0, 0] = math.sqrt(t1 * t2)
         want[1, 1] = math.sqrt((1 - t1) * (1 - t2))
         for gammas in ((1.0, 0.0), (2 ** -0.5, 2 ** -0.5), (0.6, 0.8j)):
-            got = oracle.multimode_qs_operator(t1, t2, gammas).operator_matrix
+            got = oracle.multimode_qs_operator(t1, t2, gammas)
             dev = max(dev, float(np.abs(got - want).max()))
     return dev
 
@@ -433,8 +434,7 @@ def _dev_qs_splitter() -> float:
     dev = 0.0
     for n_units in (1, 2):
         for t in (0.25, 0.6):
-            got = oracle.qs_nla_splitter_circuit(n_units, t,
-                                                 n_units).operator_matrix
+            got = oracle.qs_nla_splitter_circuit(n_units, t, n_units)
             got = got * 2 ** (n_units / 2)  # documented fan-out convention
             want = np.diag(nla.qs_nla_diagonal(n_units, t, n_units).coeffs)
             dev = max(dev, float(np.abs(got - want).max()))
@@ -562,8 +562,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "jsonl"))
         p.add_argument("--workers", type=int)
-        p.add_argument("--tolerance", type=float,
-                       help="override every verify tolerance")
+        if name == "verify":
+            p.add_argument("--tolerance", type=float,
+                           help="override every check's tolerance")
     return parser
 
 
@@ -578,7 +579,8 @@ def main(argv=None) -> int:
         if ns.config is None and ns.experiment != "verify":
             raise ConfigError(f"{ns.experiment}: --config is required")
         cfg = build_experiment(ns.experiment, raw, out=ns.out, fmt=ns.format,
-                               workers=ns.workers, tolerance=ns.tolerance)
+                               workers=ns.workers,
+                               tolerance=getattr(ns, "tolerance", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -590,7 +592,7 @@ def main(argv=None) -> int:
             return EXIT_OK if all_ok else EXIT_VERIFY
         header, rows = _RUNNERS[cfg.experiment](cfg)
         _write(render_rows(header, rows, cfg.out_format), cfg.out_path)
-    except (TruncationError, NormalizationError, InfeasibleError) as exc:
+    except (TruncationError, NormalizationError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     return EXIT_OK

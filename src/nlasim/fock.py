@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import eigvalsh, expm
 
 Arm = Literal["A", "B"]
 
@@ -98,16 +97,6 @@ class PureStateVector:
     @property
     def n_max(self) -> int:
         return self.amps.size - 1
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-    def normalized(self) -> "PureStateVector":
-        nsq = self.norm_sq
-        if nsq <= 0.0:
-            raise NormalizationError("cannot normalise the zero vector")
-        return PureStateVector(self.amps / math.sqrt(nsq))
 
     def populations(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
@@ -258,7 +247,7 @@ class BipartiteDensity:
 
     def validate(self) -> None:
         """Full invariant check including positivity (costs an eigensolve)."""
-        evals = eigvalsh(self.matrix)
+        evals = np.linalg.eigvalsh(self.matrix)
         if evals.min() < -_PSD_TOL:
             raise ValueError(f"matrix has eigenvalue {evals.min():.3e} < 0")
 
@@ -308,9 +297,11 @@ def beam_splitter_unitary(transmissivity: float,
             # x y^dag : |s-j, j> -> |s-j-1, j+1>
             if j <= s - 1:
                 gen[j + 1, j] -= theta * math.sqrt((s - j) * (j + 1))
-        blocks.append(expm(gen))
-    for b in blocks:
-        b.setflags(write=False)
+        # exp(gen) from the eigenbasis of the Hermitian 1j * gen
+        w, v = np.linalg.eigh(1j * gen)
+        block = ((v * np.exp(-1j * w)) @ v.conj().T).real
+        block.setflags(write=False)
+        blocks.append(block)
     return BeamSplitterUnitary(transmissivity, tuple(blocks))
 
 
@@ -398,7 +389,7 @@ def negativity(rho: BipartiteDensity) -> float:
     if abs(rho.trace_value - 1.0) > 1e-10:
         raise NormalizationError(
             f"negativity needs trace 1, got {rho.trace_value!r}")
-    evals = eigvalsh(partial_transpose(rho, "B"))
+    evals = np.linalg.eigvalsh(partial_transpose(rho, "B"))
     return float(-evals[evals < 0.0].sum())
 
 

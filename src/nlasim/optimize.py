@@ -1,10 +1,8 @@
-"""Scalar searches over the amplifier transmissivity (and unit count).
+"""Scalar searches over the amplifier transmissivity.
 
 All searches are deterministic: a fixed coarse grid locates the best basin,
-golden-section (or bracket-shrinking, for the constrained search) refines it,
-and the reported optimum is never worse than any point actually evaluated.
-Ties break toward the lowest transmissivity, and toward the lowest N in the
-joint searches.
+golden-section refines it, and the reported optimum is never worse than any
+point actually evaluated.  Ties break toward the lowest transmissivity.
 """
 
 from __future__ import annotations
@@ -19,10 +17,6 @@ from .nla import NlaSpec, amplify_coherent
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class InfeasibleError(ValueError):
-    """No parameter in the search region satisfies the constraint."""
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Search-region and refinement settings shared by the optimisers."""
@@ -31,7 +25,6 @@ class SweepConfig:
     t_max: float = 1.0 - 1e-4
     grid_points: int = 200
     refine_tolerance: float = 1e-4
-    n_range: tuple = (1, 8)
 
     def __post_init__(self):
         if not 0.0 < self.t_min < self.t_max < 1.0:
@@ -40,16 +33,6 @@ class SweepConfig:
             raise ValueError("grid_points must be >= 3")
         if self.refine_tolerance <= 0.0:
             raise ValueError("refine_tolerance must be positive")
-        lo, hi = self.n_range
-        if not 1 <= lo <= hi:
-            raise ValueError("n_range must satisfy 1 <= lo <= hi")
-
-
-def _check_finite(t: float, value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"objective returned non-finite value {value} "
-                         f"at T={t}")
-    return value
 
 
 def maximize_over_T(objective, config: SweepConfig | None = None,
@@ -63,7 +46,10 @@ def maximize_over_T(objective, config: SweepConfig | None = None,
     cfg = config or SweepConfig()
 
     def f(t: float) -> float:
-        v = _check_finite(t, float(objective(t)))
+        v = float(objective(t))
+        if not math.isfinite(v):
+            raise ValueError(f"objective returned non-finite value {v} "
+                             f"at T={t}")
         if record is not None:
             record.append((t, v))
         return v
@@ -109,49 +95,6 @@ def max_fidelity_profile(alpha: complex, target_gain: float, kind: str,
     res = amplify_coherent(alpha, NlaSpec(kind, n_units, t_star), n_max,
                            target_gain)
     return t_star, f_star, res.success_prob
-
-
-def max_success_given_fidelity(alpha: complex, target_gain: float, kind: str,
-                               fidelity_floor: float, n_max: int = 30,
-                               config: SweepConfig | None = None):
-    """Highest success probability subject to a fidelity floor.
-
-    Scans every unit count in ``config.n_range`` jointly with T; returns
-    ``(n_star, t_star, prob_star)``.  Raises :class:`InfeasibleError` when no
-    (N, T) reaches the floor.
-    """
-    cfg = config or SweepConfig()
-
-    best = None
-    for n_units in range(cfg.n_range[0], cfg.n_range[1] + 1):
-        def eval_at(t: float):
-            res = amplify_coherent(alpha, NlaSpec(kind, n_units, t), n_max,
-                                   target_gain)
-            return res.fidelity, res.success_prob
-
-        lo, hi = cfg.t_min, cfg.t_max
-        local = None
-        while True:
-            ts = np.linspace(lo, hi, max(cfg.grid_points // 4, 16))
-            pairs = [eval_at(t) for t in ts]
-            for t, (fid, prob) in zip(ts, pairs):
-                _check_finite(t, fid)
-                _check_finite(t, prob)
-                if fid >= fidelity_floor and \
-                        (local is None or prob > local[1]):
-                    local = (float(t), float(prob))
-            if local is None or hi - lo <= cfg.refine_tolerance:
-                break
-            step = ts[1] - ts[0]
-            lo = max(cfg.t_min, local[0] - step)
-            hi = min(cfg.t_max, local[0] + step)
-        if local is not None and (best is None or local[1] > best[2]):
-            best = (n_units, local[0], local[1])
-    if best is None:
-        raise InfeasibleError(
-            f"no (N, T) in the search region reaches fidelity "
-            f"{fidelity_floor}")
-    return best
 
 
 def maximize_total_logneg(scenario, lossy: np.ndarray,

@@ -18,31 +18,18 @@ pattern then comes out with a global phase of -1, which is physically
 irrelevant for a heralded state.
 
 States are occupation-number dictionaries ``{(n_1, ..., n_k): amplitude}``
-over a fixed mode ordering.
+over a fixed mode ordering.  Each circuit returns its heralded operator as a
+matrix ``op``: ``op[m, n]`` is the amplitude for input |n> to herald output
+|m> on the surviving mode (or supermode basis, where noted).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import BeamSplitterUnitary, beam_splitter_unitary
-
-State = "dict[tuple[int, ...], complex]"
-
-
-@dataclass(frozen=True)
-class CircuitOutcome:
-    """Heralded operator produced by a brute-force circuit.
-
-    ``operator_matrix[m, n]`` is the amplitude for input |n> to herald
-    output |m> on the surviving mode (or supermode basis, where noted).
-    """
-
-    operator_matrix: np.ndarray
 
 
 def _apply_pair_unitary(state, x: int, y: int,
@@ -82,7 +69,7 @@ def nsplitter_unitary(n_paths: int) -> np.ndarray:
 
 
 def qs_circuit_operator(t1: float, t2: float, n_max: int,
-                        detect: str = "a") -> CircuitOutcome:
+                        detect: str = "a") -> np.ndarray:
     """Single-mode quantum-scissors operator, built from the full circuit.
 
     Signal enters mode a, a single-photon ancilla enters mode b, mode c
@@ -105,10 +92,10 @@ def qs_circuit_operator(t1: float, t2: float, n_max: int,
                 op[m, n] = state.get((1, m, 0), 0.0)
             else:
                 op[m, n] = state.get((0, m, 1), 0.0)
-    return CircuitOutcome(op)
+    return op
 
 
-def pc_circuit_operator(transmissivity: float, n_max: int) -> CircuitOutcome:
+def pc_circuit_operator(transmissivity: float, n_max: int) -> np.ndarray:
     """Single-mode photon-catalysis operator from the one-beam-splitter circuit.
 
     Signal in mode a meets a single-photon ancilla in mode b; the herald is
@@ -122,11 +109,10 @@ def pc_circuit_operator(transmissivity: float, n_max: int) -> CircuitOutcome:
         state = _apply_pair_unitary(state, 0, 1, bs)
         for m in range(dim):
             op[m, n] = state.get((m, 1), 0.0)
-    return CircuitOutcome(op)
+    return op
 
 
-def multimode_qs_operator(t1: float, t2: float,
-                          gammas) -> CircuitOutcome:
+def multimode_qs_operator(t1: float, t2: float, gammas) -> np.ndarray:
     """Two-frequency-bin quantum-scissors operator in the supermode basis.
 
     ``gammas = (g1, g2)`` are the supermode weights shared by the ancilla
@@ -193,7 +179,7 @@ def multimode_qs_operator(t1: float, t2: float,
         op[0, col] = b_state.get((0, 0), 0.0)
         op[1, col] = overlap(g, b_state)
         op[2, col] = overlap(g_perp, b_state)
-    return CircuitOutcome(op)
+    return op
 
 
 def _compositions(total: int, parts: int):
@@ -230,7 +216,7 @@ def pc_nla_multinomial(n_units: int, transmissivity: float, n: int) -> float:
 
 
 def qs_nla_splitter_circuit(n_units: int, transmissivity: float,
-                            n_max: int) -> CircuitOutcome:
+                            n_max: int) -> np.ndarray:
     """N-fold quantum-scissors amplifier from the full splitter circuit.
 
     Input |n> is fanned out over N paths by the symmetric splitter, each path
@@ -244,7 +230,7 @@ def qs_nla_splitter_circuit(n_units: int, transmissivity: float,
         raise ValueError("need at least one scissors unit")
     dim = n_max + 1
     u = nsplitter_unitary(n_units)
-    unit = qs_circuit_operator(0.5, transmissivity, n_max).operator_matrix
+    unit = qs_circuit_operator(0.5, transmissivity, n_max)
     # second splitter is the inverse arrangement; u is its own inverse
     u2 = u
     op = np.zeros((dim, dim))
@@ -276,4 +262,4 @@ def qs_nla_splitter_circuit(n_units: int, transmissivity: float,
             for j, nj in enumerate(occ):
                 coeff *= u2[0, j] ** nj / math.sqrt(math.factorial(nj))
             op[m, n] += amp * coeff
-    return CircuitOutcome(op)
+    return op

@@ -80,14 +80,13 @@ def test_criterion_02_qs_circuit_vs_closed_form():
         worst = 0.0
         for t1 in T_GRID:
             for t2 in T_GRID:
-                got = oracle.qs_circuit_operator(t1, t2, 5).operator_matrix
+                got = oracle.qs_circuit_operator(t1, t2, 5)
                 want = np.zeros_like(got)
                 want[0, 0] = sqrt(t1 * t2)
                 want[1, 1] = sqrt((1 - t1) * (1 - t2))
                 worst = max(worst, float(np.abs(got - want).max()))
         for gammas in ((1.0, 0.0), (2 ** -0.5, 2 ** -0.5), (0.6, 0.8j)):
-            got = oracle.multimode_qs_operator(0.5, 0.3,
-                                               gammas).operator_matrix
+            got = oracle.multimode_qs_operator(0.5, 0.3, gammas)
             want = np.diag([sqrt(0.5 * 0.3), sqrt(0.5 * 0.7), 0.0]) \
                 .astype(complex)
             worst = max(worst, float(np.abs(got - want).max()))
@@ -105,7 +104,7 @@ def test_criterion_03_pc_circuit_vs_diagonal():
     with timer() as tm:
         worst = 0.0
         for t in T_GRID:
-            got = oracle.pc_circuit_operator(t, 6).operator_matrix
+            got = oracle.pc_circuit_operator(t, 6)
             want = np.diag(nla.single_pc_diagonal(t, 6).coeffs)
             worst = max(worst, float(np.abs(got - want).max()))
     ok = worst < 1e-10 and tm.elapsed < 5
@@ -122,8 +121,7 @@ def test_criterion_04_qs_splitter_circuit():
         worst = 0.0
         for n_units in (1, 2, 3):
             for t in (0.25, 0.5, 0.75):
-                got = oracle.qs_nla_splitter_circuit(
-                    n_units, t, n_units + 2).operator_matrix
+                got = oracle.qs_nla_splitter_circuit(n_units, t, n_units + 2)
                 want = np.diag(nla.qs_nla_diagonal(n_units, t,
                                                    n_units + 2).coeffs)
                 # circuit carries a 2^(-N/2) herald-normalization factor

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,17 @@ def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, nlasim.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +273,13 @@ DISTILL_MIN = {"attenuations_db": [0.0]}
     ("distill", {**DISTILL_MIN, "workers": 0}, "workers"),
     ("distill", {**DISTILL_MIN, "out": 3}, "out"),
     ("verify", {"checks": ["no_such_check"]}, "checks"),
+    ("verify", {"n_max": 5}, "n_max"),
+    ("verify", {"optimizer": {}}, "optimizer"),
     # out-of-range values the domain constructors reject
     ("distill", {"scenario": 2, "decay": 1.5, "attenuations_db": [0]},
      "decay"),
     ("distill", {"attenuations_db": [-1.0]}, "attenuation"),
-    ("cascade-compare", {"r_db": -1.0}, None),
+    ("cascade-compare", {"r_db": -1.0}, "r_db"),
     ("distill", {**DISTILL_MIN, "r1_db": -2.0}, "r1_db"),
     ("sweep", {"r1_db": -2.0}, "r1_db"),
     # typo guards on the sizes that set allocations
@@ -274,7 +290,8 @@ DISTILL_MIN = {"attenuations_db": [0.0]}
 ], ids=["bool", "inf", "nan", "empty-grid", "unknown-kind", "bad-strategy",
         "scenario-4", "amplified-index", "grid-points-3", "t-min-ge-t-max",
         "n-max-1", "unknown-optimizer-key", "bad-format", "workers-0",
-        "non-string-out", "unknown-check", "decay-out-of-range",
+        "non-string-out", "unknown-check", "verify-n-max", "verify-optimizer",
+        "decay-out-of-range",
         "negative-attenuation", "negative-squeezing", "negative-r1-db",
         "sweep-negative-r1-db", "huge-k-modes", "n-max-above-bound",
         "grid-points-above-bound"])
@@ -288,8 +305,13 @@ def test_bad_config_is_config_error_before_any_work(
     assert main([experiment, "--config", path]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
-    # a negative r_db still reports the derived gain it sets
-    assert named is None or named in err
+    assert named in err
+
+
+def test_tolerance_flag_is_verify_only(tmp_path, capsys):
+    path = write_config(tmp_path, AMPLIFY_MIN)
+    assert main(["amplify", "--config", path, "--tolerance", "1e-3"]) == 1
+    assert "--tolerance" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlasim import fock
 from nlasim.fock import (BipartiteDensity, ChannelSpec, DiagonalOperator,
@@ -107,6 +110,32 @@ def test_beam_splitter_single_photon_block():
     assert abs(abs(b[0, 0]) - 0.6) < 1e-14
     assert abs(abs(b[0, 1]) - 0.8) < 1e-14
     assert np.linalg.det(b) == pytest.approx(1.0, abs=1e-14)
+
+
+# the literal slow reference: each block is the matrix exponential of its
+# real antisymmetric generator theta (x^dag y - x y^dag), cos(theta) = sqrt(T)
+def expm_beam_splitter_block(transmissivity, s):
+    theta = math.acos(math.sqrt(transmissivity))
+    gen = np.zeros((s + 1, s + 1))
+    for j in range(s + 1):
+        if j >= 1:
+            gen[j - 1, j] += theta * math.sqrt(j * (s - j + 1))
+        if j <= s - 1:
+            gen[j + 1, j] -= theta * math.sqrt((s - j) * (j + 1))
+    return scipy.linalg.expm(gen)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
+                   allow_subnormal=True))
+@example(t=5e-324)
+@example(t=1.0 - 2.0 ** -53)
+def test_beam_splitter_blocks_match_expm_reference(t):
+    bs = beam_splitter_unitary(t, 30)
+    for s in range(31):
+        b = bs.block(s)
+        assert np.abs(b - expm_beam_splitter_block(t, s)).max() < 1e-12
+        assert np.abs(b @ b.T - np.eye(s + 1)).max() < 1e-13
 
 
 def test_beam_splitter_rejects_degenerate_transmissivity():

@@ -1,4 +1,4 @@
-"""Scalar sweeps, refinement, constrained searches, end-to-end optimisation."""
+"""Scalar sweeps, refinement, end-to-end optimisation."""
 
 import math
 
@@ -9,8 +9,7 @@ from nlasim.distill import (DistillScenario, PdcSpec, distill,
                             lossy_pdc_densities)
 from nlasim.fock import ChannelSpec
 from nlasim.nla import NlaSpec, amplify_coherent
-from nlasim.optimize import (InfeasibleError, SweepConfig,
-                             max_fidelity_profile, max_success_given_fidelity,
+from nlasim.optimize import (SweepConfig, max_fidelity_profile,
                              maximize_over_T, maximize_total_logneg)
 
 FAST = SweepConfig(grid_points=40, refine_tolerance=1e-6)
@@ -25,8 +24,6 @@ def test_sweep_config_validation():
         SweepConfig(grid_points=2)
     with pytest.raises(ValueError):
         SweepConfig(refine_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(n_range=(0, 4))
 
 
 def test_quadratic_peak_located():
@@ -104,29 +101,6 @@ def test_max_fidelity_profile_matches_direct_evaluation():
     assert prob == pytest.approx(res.success_prob, rel=1e-12)
     # the optimum sits near the gain-matched transmissivity for weak input
     assert abs(t_star - 1 / (1 + 1.5 ** 2)) < 0.05
-
-
-def test_constrained_search_meets_floor():
-    cfg = SweepConfig(grid_points=40, refine_tolerance=1e-4, n_range=(1, 3))
-    n_star, t_star, prob = max_success_given_fidelity(0.2, 1.5, "QS", 0.99,
-                                                      25, cfg)
-    res = amplify_coherent(0.2, NlaSpec("QS", n_star, t_star), 25, 1.5)
-    assert res.fidelity >= 0.99
-    assert prob == pytest.approx(res.success_prob, rel=1e-12)
-    assert 1 <= n_star <= 3
-
-
-def test_constrained_search_prefers_fewer_units():
-    # a floor reachable at N = 1 is claimed by N = 1 (higher success)
-    cfg = SweepConfig(grid_points=40, refine_tolerance=1e-4, n_range=(1, 4))
-    n_star, _, _ = max_success_given_fidelity(0.2, 1.2, "QS", 0.95, 25, cfg)
-    assert n_star == 1
-
-
-def test_constrained_search_infeasible():
-    cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3, n_range=(1, 2))
-    with pytest.raises(InfeasibleError):
-        max_success_given_fidelity(1.0, 3.0, "PC", 0.999999, 30, cfg)
 
 
 # ---------------------------------------------------------------------------
