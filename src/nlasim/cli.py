@@ -6,7 +6,8 @@ Subcommands
                      over a grid of (alpha, target_gain, n_units, kind).
 ``distill``          T-optimised total log-negativity over an attenuation grid,
                      with the no-amplifier reference in every row.
-``cascade-compare``  parallel vs cascaded photon catalysis on a lossless pair.
+``cascade-compare``  parallel vs cascaded photon catalysis: ``distill`` rows on
+                     one lossless supermode pair.
 ``sweep``            raw (T, log-negativity, success) grid for one scenario point.
 ``verify``           circuit-oracle self-checks with a pass/fail report.
 
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import fock, nla, oracle
 from .distill import (DistillScenario, PdcSpec, apply_strategy,
-                      cascade_compare, lossy_pdc_densities, reference_no_nla)
+                      lossy_pdc_densities, reference_no_nla)
 from .fock import (ChannelSpec, NormalizationError, TruncationError,
                    squeezing_from_db)
 from .nla import VALID_KINDS, NlaSpec
@@ -84,8 +85,8 @@ class ExperimentConfig:
 # parsers check types only; validate_config then builds the domain objects
 # once, so their constructors' range rules apply before any work, and hands
 # them to the runners: outside verify params["optimizer"] is a SweepConfig
-# and, for distill and sweep, params["points"] holds one DistillScenario per
-# output row.
+# and, for distill, cascade-compare and sweep, params["points"] holds one
+# DistillScenario per output row (two per n_units for cascade-compare).
 
 _ABSENT = object()      # default of an optional key that has none
 
@@ -237,21 +238,29 @@ def _build_domain(experiment: str, p: dict) -> None:
     if experiment == "verify":
         return
     p["optimizer"] = SweepConfig(**p["optimizer"])
-    if experiment == "cascade-compare" and p["r_db"] < 0:
-        raise ValueError("r_db must be >= 0")
-    if experiment not in ("distill", "sweep"):
+    if experiment == "amplify":
         return
-    pdc = PdcSpec.from_scenario(p["scenario"], p["r1_db"], p["k_modes"],
-                                p["decay"])
-    if experiment == "distill":
-        grid = [(db, k, n) for db in p["attenuations_db"] for k in p["kinds"]
-                for n in p["n_units"]]
+    if experiment == "cascade-compare":
+        if p["r_db"] < 0:
+            raise ValueError("r_db must be >= 0")
+        # one lossless supermode pair: the unfiltered receiver has no
+        # bystanders, so each row is the bare arrangement
+        pdc = PdcSpec(np.ones(1), squeezing_from_db(p["r_db"]))
+        grid = [(0.0, k, n) for n in p["n_units"]
+                for k in ("PC", "CascadedPC")]
+        receiver = ()
     else:
-        grid = [(p["attenuation_db"], p["kind"], p["n_units"])]
+        pdc = PdcSpec.from_scenario(p["scenario"], p["r1_db"], p["k_modes"],
+                                    p["decay"])
+        if experiment == "distill":
+            grid = [(db, k, n) for db in p["attenuations_db"]
+                    for k in p["kinds"] for n in p["n_units"]]
+        else:
+            grid = [(p["attenuation_db"], p["kind"], p["n_units"])]
+        receiver = (p["strategy"], p["amplified_index"])
     # the amplifier transmissivity is a placeholder that the runners replace
     p["points"] = tuple(DistillScenario(pdc, ChannelSpec(db),
-                                        NlaSpec(k, n, 0.5), p["strategy"],
-                                        p["amplified_index"])
+                                        NlaSpec(k, n, 0.5), *receiver)
                         for db, k, n in grid)
 
 
@@ -302,12 +311,6 @@ def _distill_point(task):
         ref.total_logneg
 
 
-def _cascade_point(task):
-    par, cas = cascade_compare(*task)
-    return ((par.optimal_t, par.total_logneg, par.success_prob),
-            (cas.optimal_t, cas.total_logneg, cas.success_prob))
-
-
 def _fan_out(worker, tasks, n_workers):
     if n_workers is None:
         n_workers = os.cpu_count() or 1
@@ -350,15 +353,14 @@ def run_distill(cfg: ExperimentConfig):
 
 def run_cascade_compare(cfg: ExperimentConfig):
     p = cfg.params
-    r = squeezing_from_db(p["r_db"])
-    tasks = [(r, n, p["n_max"], p["optimizer"]) for n in p["n_units"]]
-    results = _fan_out(_cascade_point, tasks, cfg.workers)
+    tasks = [(sc, p["n_max"], p["optimizer"]) for sc in p["points"]]
+    results = _fan_out(_distill_point, tasks, cfg.workers)
     header = ["r_db", "n_units", "arrangement", "n_max", "optimal_t",
               "total_logneg", "success_prob"]
-    rows = []
-    for n, (par, cas) in zip(p["n_units"], results):
-        for label, (t, e, pr) in (("parallel", par), ("cascaded", cas)):
-            rows.append([p["r_db"], n, label, p["n_max"], t, e, pr])
+    label = {"PC": "parallel", "CascadedPC": "cascaded"}
+    rows = [[p["r_db"], sc.nla.n_units, label[sc.nla.kind], p["n_max"],
+             t, e, pr]
+            for sc, (t, e, pr, _) in zip(p["points"], results)]
     return header, rows
 
 
@@ -370,7 +372,7 @@ def run_sweep(cfg: ExperimentConfig):
     header = ["attenuation_db", "kind", "n_units", "n_max", "t",
               "total_logneg", "success_prob"]
     rows = []
-    for t in np.linspace(sweep.t_min, sweep.t_max, sweep.grid_points):
+    for t in sweep.t_grid:
         res = apply_strategy(lossy, NlaSpec(p["kind"], p["n_units"], t),
                              p["strategy"], p["amplified_index"])
         rows.append([p["attenuation_db"], p["kind"], p["n_units"],

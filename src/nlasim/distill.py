@@ -19,12 +19,11 @@ the joint success probability of all heralds involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from . import optimize
 from .fock import (ChannelSpec, DiagonalOperator, attenuator_diagonal,
                    guard_truncation, squeezing_from_db, tmsv_schmidt,
                    vacuum_projection_diagonal)
@@ -72,14 +71,14 @@ class PdcSpec:
         lam = np.ascontiguousarray(self.lambdas, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("lambdas must be a non-empty 1-d array")
-        if np.any(lam < 0):
-            raise ValueError("lambdas must be non-negative")
+        if not np.all(np.isfinite(lam) & (lam >= 0)):
+            raise ValueError("lambdas must be finite and non-negative")
         total = (lam ** 2).sum()
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"lambdas violate sum-of-squares normalisation "
                              f"(got {total})")
-        if self.gain < 0:
-            raise ValueError("gain must be >= 0")
+        if not math.isfinite(self.gain) or self.gain < 0:
+            raise ValueError("gain must be finite and >= 0")
         lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
 
@@ -232,23 +231,3 @@ def reference_no_nla(lossy: np.ndarray) -> DistillResult:
     lognegs = _log_negativities(lossy)
     return DistillResult(lognegs, float(lognegs.sum()), 1.0)
 
-
-def cascade_compare(r: float, n_units: int, n_max: int,
-                    config: "optimize.SweepConfig | None" = None):
-    """Parallel versus cascaded photon catalysis on one lossless pair.
-
-    Both arrangements are T-optimised for logarithmic negativity on a single
-    two-mode squeezed vacuum with squeezing ``r``; returns the pair of
-    :class:`DistillResult` (parallel first), each carrying its optimum.
-    """
-    spec = PdcSpec(np.ones(1), r)
-    lossy = lossy_pdc_densities(spec, 1.0, n_max)
-    results = []
-    for kind in ("PC", "CascadedPC"):
-        def objective(t, _kind=kind):
-            return apply_strategy(
-                lossy, NlaSpec(_kind, n_units, t)).total_logneg
-        t_star, _ = optimize.maximize_over_T(objective, config)
-        best = apply_strategy(lossy, NlaSpec(kind, n_units, t_star))
-        results.append(replace(best, optimal_t=t_star))
-    return tuple(results)

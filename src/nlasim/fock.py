@@ -176,8 +176,8 @@ def tmsv_schmidt(r: float, n_max: int, tail_tol: float = 1e-10) -> np.ndarray:
     The discarded tail mass is tanh(r)^(2 (n_max + 1)); raises
     TruncationError when it exceeds ``tail_tol``.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter must be >= 0")
+    if not math.isfinite(r) or r < 0:
+        raise ValueError("squeezing parameter must be finite and >= 0")
     th = math.tanh(r)
     tail = th ** (2 * (n_max + 1))
     if tail > tail_tol:

@@ -31,6 +31,15 @@ NlaKind = Literal["QS", "PC", "CascadedPC"]
 VALID_KINDS = ("QS", "PC", "CascadedPC")
 
 
+def _unit_count(n_units) -> int:
+    """``n_units`` as a Python int >= 1; bools and non-integers are rejected."""
+    if isinstance(n_units, bool) or not isinstance(n_units, (int, np.integer)):
+        raise ValueError(f"n_units must be an integer, got {n_units!r}")
+    if n_units < 1:
+        raise ValueError("n_units must be >= 1")
+    return int(n_units)
+
+
 @dataclass(frozen=True)
 class NlaSpec:
     """Amplifier family, number of units N and internal transmissivity T."""
@@ -42,8 +51,7 @@ class NlaSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"kind must be one of {VALID_KINDS}")
-        if self.n_units < 1:
-            raise ValueError("n_units must be >= 1")
+        object.__setattr__(self, "n_units", _unit_count(self.n_units))
         if not 0.0 < self.transmissivity < 1.0:
             raise ValueError("transmissivity must lie strictly in (0, 1)")
 
@@ -100,10 +108,8 @@ def qs_nla_diagonal(n_units: int, transmissivity: float,
     d_n = sqrt(T)^N * N!/((N-n)! N^n) * g^n for n <= N and zero above; the
     combinatorial factor is evaluated with exact integers.
     """
-    n_units = int(n_units)
+    n_units = _unit_count(n_units)
     t = transmissivity
-    if n_units < 1:
-        raise ValueError("n_units must be >= 1")
     if not 0.0 < t < 1.0:
         raise ValueError("transmissivity must lie strictly in (0, 1)")
     coeffs = np.zeros(n_max + 1)
@@ -131,10 +137,8 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     enumeration (oracle.pc_nla_multinomial), which carries that factor as a
     literal /N^n.
     """
-    n_units = int(n_units)
+    n_units = _unit_count(n_units)
     t = transmissivity
-    if n_units < 1:
-        raise ValueError("n_units must be >= 1")
     if not 0.0 < t < 1.0:
         raise ValueError("transmissivity must lie strictly in (0, 1)")
     m, two_e = t.as_integer_ratio()
@@ -162,10 +166,9 @@ def single_pc_diagonal(transmissivity: float, n_max: int) -> DiagonalOperator:
 def cascaded_pc_diagonal(n_units: int, transmissivity: float,
                          n_max: int) -> DiagonalOperator:
     """N catalysis units in series: the single-unit diagonal raised to N."""
-    if n_units < 1:
-        raise ValueError("n_units must be >= 1")
+    n_units = _unit_count(n_units)
     single = single_pc_diagonal(transmissivity, n_max)
-    return DiagonalOperator(single.coeffs ** int(n_units))
+    return DiagonalOperator(single.coeffs ** n_units)
 
 
 def nla_diagonal(spec: NlaSpec, n_max: int) -> DiagonalOperator:

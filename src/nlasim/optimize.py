@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .distill import apply_strategy
 from .nla import NlaSpec, amplify_coherent
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -34,6 +35,11 @@ class SweepConfig:
         if self.refine_tolerance <= 0.0:
             raise ValueError("refine_tolerance must be positive")
 
+    @property
+    def t_grid(self) -> np.ndarray:
+        """The coarse transmissivity grid that sweeps and searches sample."""
+        return np.linspace(self.t_min, self.t_max, self.grid_points)
+
 
 def maximize_over_T(objective, config: SweepConfig | None = None,
                     record: list | None = None):
@@ -54,7 +60,7 @@ def maximize_over_T(objective, config: SweepConfig | None = None,
             record.append((t, v))
         return v
 
-    ts = np.linspace(cfg.t_min, cfg.t_max, cfg.grid_points)
+    ts = cfg.t_grid
     vals = np.array([f(t) for t in ts])
     i = int(np.argmax(vals))            # first max -> lowest-T tie-break
     best_t, best_v = float(ts[i]), float(vals[i])
@@ -104,8 +110,6 @@ def maximize_total_logneg(scenario, lossy: np.ndarray,
     ``lossy`` is the scenario's source from :func:`lossy_pdc_densities`.
     Returns the :class:`DistillResult` at the optimum with ``optimal_t`` set.
     """
-    from .distill import apply_strategy
-
     def objective(t: float) -> float:
         nla = replace(scenario.nla, transmissivity=t)
         return apply_strategy(lossy, nla, scenario.strategy,

@@ -19,12 +19,12 @@ import pytest
 
 from nlasim import fock, nla, oracle
 from nlasim.cli import main as cli_main
-from nlasim.distill import (PdcSpec, apply_strategy, cascade_compare,
+from nlasim.distill import (DistillScenario, PdcSpec, apply_strategy,
                             lossy_pdc_densities, reference_no_nla)
 from nlasim.fock import ChannelSpec, log_negativity, squeezing_from_db
 from nlasim.nla import NlaSpec, amplify_coherent, equal_gain_transmissivity
 from nlasim.optimize import (SweepConfig, max_fidelity_profile,
-                             maximize_over_T)
+                             maximize_over_T, maximize_total_logneg)
 
 T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -295,6 +295,16 @@ def test_criterion_10_deep_attenuation_floor():
 
 # ---------------------------------------------------------------------------
 # 11. parallel vs cascaded catalysis on a lossless pair
+
+def cascade_compare(r, n_units, n_max):
+    """Parallel then cascaded catalysis, each the T-optimised distill result
+    on one lossless supermode pair (the cascade-compare rows)."""
+    pdc, lossless = PdcSpec(np.ones(1), r), ChannelSpec(0.0)
+    lossy = lossy_pdc_densities(pdc, lossless, n_max)
+    return tuple(maximize_total_logneg(
+        DistillScenario(pdc, lossless, NlaSpec(kind, n_units, 0.5)), lossy)
+        for kind in ("PC", "CascadedPC"))
+
 
 def test_criterion_11_parallel_vs_cascaded():
     with timer() as tm:

@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlasim.distill import (DistillScenario, PdcSpec, apply_strategy,
-                            cascade_compare, distill, lossy_pdc_densities,
-                            reference_no_nla, scenario_lambdas)
+                            distill, lossy_pdc_densities, reference_no_nla,
+                            scenario_lambdas)
 from nlasim.fock import (BipartiteDensity, ChannelSpec, TruncationError,
                          apply_diagonal, apply_loss, attenuator_diagonal,
                          guard_truncation, log_negativity, squeezing_from_db,
                          tmsv_density, tmsv_schmidt,
                          vacuum_projection_diagonal)
 from nlasim.nla import VALID_KINDS, NlaSpec, nla_diagonal
+from nlasim.optimize import maximize_total_logneg
 
 N_MAX = 20
 N_SMALL = 10       # keeps the dense reference cheap
@@ -94,6 +95,13 @@ def test_pdc_spec_normalization_guard():
     PdcSpec(np.array([0.6, 0.8]), 1.0)
     with pytest.raises(ValueError):
         PdcSpec(np.array([0.6, 0.7]), 1.0)
+    # NaN fails every comparison, so the range checks alone would pass it
+    for lambdas, gain in ((np.array([np.nan]), 0.3),
+                          (np.array([0.6, np.nan]), 1.0),
+                          (np.array([np.inf]), 0.3),
+                          (np.ones(1), math.nan), (np.ones(1), math.inf)):
+        with pytest.raises(ValueError):
+            PdcSpec(lambdas, gain)
 
 
 def test_from_scenario_anchors_first_squeezing():
@@ -307,6 +315,16 @@ def test_truncation_guard_on_source():
 
 # ---------------------------------------------------------------------------
 # parallel vs cascaded catalysis
+
+def cascade_compare(r, n_units, n_max):
+    """Parallel then cascaded catalysis, each T-optimised on one lossless
+    supermode pair: the two distill points of a cascade-compare row pair."""
+    pdc, lossless = PdcSpec(np.ones(1), r), ChannelSpec(0.0)
+    lossy = lossy_pdc_densities(pdc, lossless, n_max)
+    return tuple(maximize_total_logneg(
+        DistillScenario(pdc, lossless, NlaSpec(kind, n_units, 0.5)), lossy)
+        for kind in ("PC", "CascadedPC"))
+
 
 def test_cascade_compare_single_unit_arrangements_coincide():
     par, cas = cascade_compare(0.3, 1, 18)

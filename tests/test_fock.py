@@ -82,6 +82,10 @@ def test_tmsv_schmidt_tail_guard():
     # loosened gate admits the same truncation
     c = tmsv_schmidt(0.5, 12, tail_tol=1e-6)
     assert c.size == 13
+    # a non-finite squeezing is rejected, not passed on as a NaN vector
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tmsv_schmidt(r, 12)
 
 
 def test_tmsv_density_is_projector_like():

@@ -26,6 +26,25 @@ def test_spec_validation():
             NlaSpec("PC", 2, t)
 
 
+def test_unit_count_must_be_an_integer():
+    # 2.5 cascade stages would build a 2-stage diagonal next to a T^2.5
+    # bystander attenuation: two devices in one row
+    for bad in (2.5, 2.0, True, np.bool_(True), "2"):
+        with pytest.raises(ValueError):
+            NlaSpec("CascadedPC", bad, 0.2)
+        for build in (qs_nla_diagonal, pc_nla_diagonal, cascaded_pc_diagonal):
+            with pytest.raises(ValueError):
+                build(bad, 0.2, 6)
+    # numpy integers are counted as Python ints: in int64 the powers of M N
+    # in the exact catalysis sum would overflow silently
+    want = pc_nla_diagonal(8, 0.3, 30).coeffs
+    for good in (np.int64(8), np.uint8(8)):
+        spec = NlaSpec("PC", good, 0.3)
+        assert type(spec.n_units) is int and spec.n_units == 8
+        assert np.array_equal(nla_diagonal(spec, 30).coeffs, want)
+        assert np.array_equal(pc_nla_diagonal(good, 0.3, 30).coeffs, want)
+
+
 # ---------------------------------------------------------------------------
 # gain relations
 

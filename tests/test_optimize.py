@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlasim.distill import (DistillScenario, PdcSpec, distill,
                             lossy_pdc_densities)
@@ -13,6 +15,27 @@ from nlasim.optimize import (SweepConfig, max_fidelity_profile,
                              maximize_over_T, maximize_total_logneg)
 
 FAST = SweepConfig(grid_points=40, refine_tolerance=1e-6)
+
+
+def damped_waves(terms, damping):
+    """Multi-peaked objective e^(-damping t) sum_k a_k sin(w_k t)."""
+    def objective(t):
+        return math.exp(-damping * t) * sum(a * math.sin(w * t)
+                                            for a, w in terms)
+    return objective
+
+
+# (a_k, w_k) pairs: up to six peaks or so per unit of t
+WAVES = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 60.0)),
+                 min_size=1, max_size=6)
+DAMPINGS = st.floats(0.0, 5.0)
+SWEEP_CONFIGS = st.builds(SweepConfig, t_min=st.floats(1e-8, 0.4),
+                          t_max=st.floats(0.6, 1.0 - 1e-8),
+                          grid_points=st.integers(3, 80),
+                          refine_tolerance=st.floats(1e-9, 1e-2))
+# sum_k c_k sin(7 (k + 1) t) with six normal c_k
+BUMPY = [(c, 7.0 * (k + 1))
+         for k, c in enumerate(np.random.default_rng(3).normal(size=6))]
 
 
 def test_sweep_config_validation():
@@ -39,18 +62,19 @@ def test_peak_on_boundary_cell():
     assert abs(t_star - 2e-3) < 1e-5
 
 
-def test_returned_value_never_below_grid_samples():
-    cfg = SweepConfig(grid_points=17, refine_tolerance=1e-3)
-    rng = np.random.default_rng(3)
-    coeffs = rng.normal(size=6)
-
-    def bumpy(t):
-        return sum(c * math.sin((k + 1) * 7 * t) for k, c in
-                   enumerate(coeffs))
-
-    t_star, v_star = maximize_over_T(bumpy, cfg)
-    ts = np.linspace(cfg.t_min, cfg.t_max, cfg.grid_points)
-    assert v_star >= max(bumpy(t) for t in ts) - 1e-15
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(terms=WAVES, damping=DAMPINGS, cfg=SWEEP_CONFIGS)
+@example(terms=BUMPY, damping=0.0,
+         cfg=SweepConfig(grid_points=17, refine_tolerance=1e-3))
+def test_returned_value_never_below_grid_samples(terms, damping, cfg):
+    record = []
+    t_star, v_star = maximize_over_T(damped_waves(terms, damping), cfg,
+                                     record=record)
+    # the whole coarse grid is sampled first, then the refinement
+    grid = [t for t, _ in record[:cfg.grid_points]]
+    assert grid == list(cfg.t_grid)
+    assert v_star >= max(v for _, v in record)
+    assert (t_star, v_star) in record
 
 
 def test_record_collects_all_evaluations():
@@ -83,11 +107,17 @@ def test_non_finite_objective_rejected():
         maximize_over_T(lambda t: math.inf if t > 0.5 else t, FAST)
 
 
-def test_deterministic_bitwise():
-    f = lambda t: math.sin(5 * t) * math.exp(-t)
-    a = maximize_over_T(f, FAST)
-    b = maximize_over_T(f, FAST)
-    assert a == b
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(terms=WAVES, damping=DAMPINGS, cfg=SWEEP_CONFIGS)
+@example(terms=[(1.0, 5.0)], damping=1.0, cfg=FAST)
+def test_deterministic_bitwise(terms, damping, cfg):
+    runs = []
+    for _ in range(2):
+        record = []
+        best = maximize_over_T(damped_waves(terms, damping), cfg,
+                               record=record)
+        runs.append((best, record))
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
