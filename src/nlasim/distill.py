@@ -162,22 +162,33 @@ def _passive_diagonal(nla: NlaSpec, n_max: int) -> DiagonalOperator:
 
 
 def _log_negativities(amp: np.ndarray) -> np.ndarray:
-    """log2(1 + 2 negativity) of each graded state in the stack ``amp``.
+    """log2(1 + 2 negativity) of each graded state in the (K, d_A, d_B) stack.
 
     rho^{T_B} splits into one block per s = n + m', arm A's photon number plus
-    that of the transposed arm B, with B_s[n, n'] = amp[n, s - n'] amp[n',
-    s - n].  An index outside [0, n_max] gives a zero row, which adds only
-    zero eigenvalues, so every block is padded to (n_max+1)-square and all
-    supermodes take one batched eigensolve.
+    that of the transposed arm B.  Indexed by arm B's photon number j = s - n,
+    B_s[j, j'] = amp[s - j, j'] amp[s - j', j].  A zero arm-B column, or an
+    arm-A index outside [0, d_A), gives a zero row, which adds only zero
+    eigenvalues.  So each slice is cut to its arm-B support, the last nonzero
+    column plus one: a slice of width <= 1 has arm B in vacuum, is a product
+    state and scores exactly 0, and the rest take one batched eigensolve of
+    w-square blocks, w their widest support.
     """
-    dim = amp.shape[-1]
-    col = np.arange(2 * dim - 1)[:, None] - np.arange(dim)
-    inside = (col >= 0) & (col < dim)
-    # half[k, s, n, n'] = amp[k, n, s - n']
-    half = (amp[:, :, np.clip(col, 0, dim - 1)] * inside).transpose(0, 2, 1, 3)
+    k_modes, d_a, d_b = amp.shape
+    used = amp.any(axis=1)
+    width = np.where(used.any(axis=1), d_b - used[:, ::-1].argmax(axis=1), 0)
+    lognegs = np.zeros(k_modes)
+    live = width > 1
+    if not live.any():
+        return lognegs
+    w = int(width.max())
+    rows = np.arange(d_a + w - 1)[:, None] - np.arange(w)
+    inside = (rows >= 0) & (rows < d_a)
+    # half[k, s, j, j'] = amp[k, s - j, j']
+    half = amp[live][:, np.clip(rows, 0, d_a - 1), :w] * inside[..., None]
     evals = np.linalg.eigvalsh(half * half.swapaxes(-1, -2))
     negativity = -np.where(evals < 0.0, evals, 0.0).sum(axis=(1, 2))
-    return np.log2(1.0 + 2.0 * negativity)
+    lognegs[live] = np.log2(1.0 + 2.0 * negativity)
+    return lognegs
 
 
 def apply_strategy(lossy: np.ndarray, nla: NlaSpec,

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlasim.distill import (DistillScenario, PdcSpec, apply_strategy,
-                            distill, lossy_pdc_densities, reference_no_nla,
-                            scenario_lambdas)
+from nlasim.distill import (DistillScenario, PdcSpec, _log_negativities,
+                            apply_strategy, distill, lossy_pdc_densities,
+                            reference_no_nla, scenario_lambdas)
 from nlasim.fock import (BipartiteDensity, ChannelSpec, TruncationError,
                          apply_diagonal, apply_loss, attenuator_diagonal,
                          guard_truncation, log_negativity, squeezing_from_db,
@@ -73,6 +73,19 @@ def graded_density(amp):
         v[n, n - lost] = amp[n, n - lost]
         matrix += np.outer(v.ravel(), v.ravel())
     return matrix
+
+
+def padded_log_negativities(amp):
+    """The padded graded kernel: every (d, d) slice of the stack in full,
+    its 2d - 1 partial-transpose blocks B_s[n, n'] = amp[n, s - n']
+    amp[n', s - n] each padded to d-square, one batched eigensolve."""
+    dim = amp.shape[-1]
+    col = np.arange(2 * dim - 1)[:, None] - np.arange(dim)
+    inside = (col >= 0) & (col < dim)
+    half = (amp[:, :, np.clip(col, 0, dim - 1)] * inside).transpose(0, 2, 1, 3)
+    evals = np.linalg.eigvalsh(half * half.swapaxes(-1, -2))
+    negativity = -np.where(evals < 0.0, evals, 0.0).sum(axis=(1, 2))
+    return np.log2(1.0 + 2.0 * negativity)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +170,92 @@ def test_channel_accepts_spec_or_float():
     via_eta = reference_no_nla(lossy_pdc_densities(pdc, 0.1, N_MAX))
     assert via_spec.total_logneg == pytest.approx(via_eta.total_logneg,
                                                   rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# graded scoring kernel
+
+SLICE_KINDS = ("lossy", "dense", "vacuum", "arm_b_vacuum", "trailing_zeros",
+               "interior_zero")
+
+
+def random_slice(kind, d_a, d_b, rng):
+    """One (d_a, d_b) amplitude slice of the given shape class."""
+    amp = np.zeros((d_a, d_b))
+    if kind == "lossy":
+        dim = max(d_a, d_b)
+        source = lossy_pdc_densities(PdcSpec(np.ones(1), rng.uniform(0, 1.5)),
+                                     rng.uniform(0, 1), dim - 1, tail_tol=1.0)
+        amp = source[0, :d_a, :d_b].copy()
+    elif kind == "vacuum":
+        amp[0, 0] = 1.0
+    elif kind == "arm_b_vacuum":
+        amp[:, 0] = rng.normal(size=d_a)
+    elif kind == "trailing_zeros":
+        cut = rng.integers(1, d_b + 1)
+        amp[:, :cut] = rng.normal(size=(d_a, cut))
+    else:
+        amp = rng.normal(size=(d_a, d_b))
+        if kind == "interior_zero":
+            # the catalysis diagonal with N 2, T 1/2 is exactly 0 at n 1
+            amp *= nla_diagonal(NlaSpec("PC", 2, 0.5), d_b - 1).coeffs
+    norm = np.linalg.norm(amp)
+    return amp / norm if norm > 0.0 else amp
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d_a=st.integers(1, 9), d_b=st.integers(1, 9),
+       kinds=st.lists(st.sampled_from(SLICE_KINDS), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d_a=7, d_b=6, kinds=list(SLICE_KINDS), seed=0)
+@example(d_a=3, d_b=8, kinds=["interior_zero", "vacuum"], seed=1)
+@example(d_a=5, d_b=1, kinds=["dense", "lossy"], seed=2)
+def test_support_cut_kernel_matches_padded_kernel(d_a, d_b, kinds, seed):
+    rng = np.random.default_rng(seed)
+    amp = np.stack([random_slice(kind, d_a, d_b, rng) for kind in kinds])
+    got = _log_negativities(amp)
+    # zero rows or columns leave the state as it is, so the padded kernel
+    # scores the stack embedded in a square one
+    dim = max(d_a, d_b)
+    square = np.zeros((len(kinds), dim, dim))
+    square[:, :d_a, :d_b] = amp
+    assert np.abs(got - padded_log_negativities(square)).max() <= 1e-13
+    # arm B in vacuum: a product state, exactly +0.0 with no eigensolve
+    product = ~amp[:, :, 1:].any(axis=(1, 2))
+    assert np.all(got[product] == 0.0)
+    assert not np.signbit(got[product]).any()
+    for k in range(len(kinds)):
+        assert abs(_log_negativities(amp[k:k + 1])[0] - got[k]) <= 1e-13
+
+
+def test_eigensolve_covers_only_entangleable_support(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(blocks):
+        shapes.append(blocks.shape)
+        return eigvalsh(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    lossy = lossy_pdc_densities(scenario1(), ChannelSpec(5.0), N_MAX)
+    # scissors with N 2 leave arm B of the amplified supermode 3 columns and
+    # vacuum-project the four vacuum bystanders
+    apply_strategy(lossy, NlaSpec("QS", 2, 0.1))
+    assert shapes == [(1, 23, 3, 3)]
+    shapes.clear()
+    reference_no_nla(lossy)
+    assert shapes == [(1, 41, 21, 21)]
+    shapes.clear()
+    # five equal supermodes: every slice keeps its full width
+    flat = lossy_pdc_densities(PdcSpec.from_scenario(3, 5.0), ChannelSpec(5.0),
+                               N_MAX)
+    apply_strategy(flat, NlaSpec("PC", 2, 0.1))
+    assert shapes == [(5, 41, 21, 21)]
+    shapes.clear()
+    # an all-vacuum source needs no eigensolve at all
+    vacuum = reference_no_nla(lossy_pdc_densities(scenario1(0.0), 1.0, N_MAX))
+    assert shapes == []
+    assert vacuum.total_logneg == 0.0
 
 
 # ---------------------------------------------------------------------------
