@@ -174,8 +174,7 @@ def _log_negativities(amp: np.ndarray) -> np.ndarray:
     w-square blocks, w their widest support.
     """
     k_modes, d_a, d_b = amp.shape
-    used = amp.any(axis=1)
-    width = np.where(used.any(axis=1), d_b - used[:, ::-1].argmax(axis=1), 0)
+    width = (amp.any(axis=1) * np.arange(1, d_b + 1)).max(axis=1)
     lognegs = np.zeros(k_modes)
     live = width > 1
     if not live.any():
