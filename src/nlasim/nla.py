@@ -13,6 +13,10 @@ Fock basis once the ancilla and detection pattern are fixed:
 The alternating sums in the parallel-catalysis coefficients are formed as one
 exact integer numerator over one integer denominator and rounded once, so no
 catastrophic cancellation occurs anywhere in the supported parameter range.
+The integer weights of each sum are formed once per diagonal and each
+numerator is evaluated in nested (Horner) form over the falling factorial
+n(n-1)...(n-j+1), so no binomial, permutation or power is recomputed per
+Fock index.
 """
 
 from __future__ import annotations
@@ -128,9 +132,12 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     d_n = sqrt(T)^(N+n) * sum_j C(N,j) n!/(n-j)! (p/N)^j with p = (T-1)/T.
     The binary float T is exactly M/2^e, so p/N = q/(M N) with q = M - 2^e,
     and the alternating sum over j <= J = min(N, n) is the exact integer
-    sum_j C(N,j) n!/(n-j)! q^j (M N)^(J-j) over (M N)^J.  Python's int/int
-    division rounds that rational once, correctly, so analytic zeros are
-    exact zeros.
+    sum_j w_J[j] n!/(n-j)! over (M N)^J, with integer weights
+    w_J[j] = C(N,j) q^j (M N)^(J-j).  The weights are formed once for each
+    J <= N, and each numerator is evaluated in nested form,
+    w_J[0] + n (w_J[1] + (n-1) (w_J[2] + ...)), which is the same integer.
+    Python's int/int division rounds that rational once, correctly, so
+    analytic zeros are exact zeros.
 
     The 1/N^n of the (p/N)^j and permutation factors is the splitter
     fan-out normalisation; it is pinned against the explicit path
@@ -143,13 +150,20 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
         raise ValueError("transmissivity must lie strictly in (0, 1)")
     m, two_e = t.as_integer_ratio()
     q, mn = m - two_e, m * n_units
+    tops = range(min(n_units, n_max) + 1)
+    q_pow = [q ** j for j in tops]
+    mn_pow = [mn ** k for k in tops]
+    weights = [[math.comb(n_units, j) * q_pow[j] * mn_pow[top - j]
+                for j in range(top + 1)] for top in tops]
     root_t = math.sqrt(t)
     coeffs = np.empty(n_max + 1)
     for n in range(n_max + 1):
         top = min(n_units, n)
-        num = sum(math.comb(n_units, j) * math.perm(n, j) * q ** j
-                  * mn ** (top - j) for j in range(top + 1))
-        coeffs[n] = root_t ** (n_units + n) * (num / mn ** top)
+        w = weights[top]
+        num = w[top]
+        for j in range(top - 1, -1, -1):
+            num = w[j] + (n - j) * num
+        coeffs[n] = root_t ** (n_units + n) * (num / mn_pow[top])
     return DiagonalOperator(coeffs)
 
 
@@ -195,6 +209,22 @@ def _target_sign(spec: NlaSpec) -> float:
     return (-1.0) ** spec.n_units
 
 
+def _herald(diag: DiagonalOperator,
+            psi: PureStateVector) -> tuple[PureStateVector, float]:
+    """Heralded output of ``diag`` on ``psi``, normalised, and its probability.
+
+    Raises when the herald has zero probability and when the output's top
+    Fock bin is populated (TruncationError), in that order.
+    """
+    unnorm = diag.coeffs * psi.amps
+    prob = float(np.vdot(unnorm, unnorm).real)
+    if prob <= 0.0:
+        raise ValueError("herald has zero probability at these parameters")
+    out = PureStateVector(unnorm / math.sqrt(prob))
+    guard_truncation(out.populations(), what="amplified state")
+    return out, prob
+
+
 def amplify_coherent(alpha: complex, spec: NlaSpec, n_max: int = 30,
                      target_gain: float | None = None) -> AmplifyResult:
     """Run one heralded amplifier on |alpha> and report the heralded output.
@@ -205,13 +235,7 @@ def amplify_coherent(alpha: complex, spec: NlaSpec, n_max: int = 30,
     (+g alpha for QS, -g alpha for PC, (-1)^N g alpha for the cascade).
     """
     psi = coherent_state(alpha, n_max)
-    diag = nla_diagonal(spec, n_max)
-    unnorm = diag.coeffs * psi.amps
-    prob = float(np.vdot(unnorm, unnorm).real)
-    if prob <= 0.0:
-        raise ValueError("herald has zero probability at these parameters")
-    out = PureStateVector(unnorm / math.sqrt(prob))
-    guard_truncation(out.populations(), what="amplified state")
+    out, prob = _herald(nla_diagonal(spec, n_max), psi)
     fid = None
     if target_gain is not None:
         beta = _target_sign(spec) * target_gain * alpha

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distill import apply_strategy
-from .nla import NlaSpec, amplify_coherent
+from .fock import coherent_state
+from .nla import NlaSpec, _herald, _target_sign, nla_diagonal
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -91,16 +92,34 @@ def max_fidelity_profile(alpha: complex, target_gain: float, kind: str,
                          config: SweepConfig | None = None):
     """T maximising the fidelity to the gain-``target_gain`` coherent target.
 
-    Returns ``(t_star, fidelity_star, success_prob_at_t_star)``.
+    Returns ``(t_star, fidelity_star, success_prob_at_t_star)``, the numbers
+    that maximising ``amplify_coherent(...).fidelity`` over T gives.  Only
+    the diagonal and the herald step depend on T: the input and the signed
+    target coherent states are built once, each when the first evaluation
+    reaches it, so the guards still trip in amplify_coherent's order (input
+    tail, herald probability, output top bin, target tail).
     """
+    psi = target = None
+
+    def herald(t: float):
+        nonlocal psi
+        spec = NlaSpec(kind, n_units, t)
+        if psi is None:
+            psi = coherent_state(alpha, n_max)
+        return (spec, *_herald(nla_diagonal(spec, n_max), psi))
+
     def objective(t: float) -> float:
-        return amplify_coherent(alpha, NlaSpec(kind, n_units, t), n_max,
-                                target_gain).fidelity
+        nonlocal target
+        spec, out, _ = herald(t)
+        if target is None:
+            # the sign depends on kind and N only, not on T
+            target = coherent_state(_target_sign(spec) * target_gain * alpha,
+                                    out.n_max)
+        return float(abs(np.vdot(target.amps, out.amps)) ** 2)
 
     t_star, f_star = maximize_over_T(objective, config)
-    res = amplify_coherent(alpha, NlaSpec(kind, n_units, t_star), n_max,
-                           target_gain)
-    return t_star, f_star, res.success_prob
+    *_, prob = herald(t_star)
+    return t_star, f_star, prob
 
 
 def maximize_total_logneg(scenario, lossy: np.ndarray,

@@ -173,6 +173,10 @@ TRANSMISSIVITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
 @example(n_units=12, t=1.0 - 2.0 ** -53, n_max=40)
 @example(n_units=3, t=5e-324, n_max=40)
 @example(n_units=2, t=1e-300, n_max=1)
+# the config bounds (N 12, n_max 200), where the nested integers of the
+# catalysis sum are largest
+@example(n_units=12, t=5e-324, n_max=200)
+@example(n_units=12, t=1.0 - 2.0 ** -53, n_max=200)
 def test_diagonals_bitwise_equal_fraction_reference(n_units, t, n_max):
     assert _bytes_or_overflow(
         lambda: pc_nla_diagonal(n_units, t, n_max).coeffs) == \

@@ -1,6 +1,7 @@
 """Scalar sweeps, refinement, end-to-end optimisation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from nlasim.distill import (DistillScenario, PdcSpec, distill,
                             lossy_pdc_densities)
-from nlasim.fock import ChannelSpec
-from nlasim.nla import NlaSpec, amplify_coherent
+from nlasim import fock, nla, optimize
+from nlasim.fock import ChannelSpec, TruncationError, coherent_state
+from nlasim.nla import VALID_KINDS, NlaSpec, amplify_coherent
 from nlasim.optimize import (SweepConfig, max_fidelity_profile,
                              maximize_over_T, maximize_total_logneg)
 
@@ -131,6 +133,96 @@ def test_max_fidelity_profile_matches_direct_evaluation():
     assert prob == pytest.approx(res.success_prob, rel=1e-12)
     # the optimum sits near the gain-matched transmissivity for weak input
     assert abs(t_star - 1 / (1 + 1.5 ** 2)) < 0.05
+
+
+# the search as first written, kept as the literal reference: one full
+# amplify_coherent per T, then one more at the optimum
+def reference_fidelity_profile(alpha, target_gain, kind, n_units, n_max=30,
+                               config=None):
+    def objective(t):
+        return amplify_coherent(alpha, NlaSpec(kind, n_units, t), n_max,
+                                target_gain).fidelity
+
+    t_star, f_star = maximize_over_T(objective, config)
+    res = amplify_coherent(alpha, NlaSpec(kind, n_units, t_star), n_max,
+                           target_gain)
+    return t_star, f_star, res.success_prob
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(VALID_KINDS), n_units=st.integers(1, 8),
+       alpha=st.floats(0.05, 1.0), gain=st.floats(1.1, 2.0),
+       n_max=st.integers(20, 40), grid_points=st.integers(3, 12))
+def test_max_fidelity_profile_bitwise_equal_reference(kind, n_units, alpha,
+                                                      gain, n_max,
+                                                      grid_points):
+    cfg = SweepConfig(grid_points=grid_points)
+    got = max_fidelity_profile(alpha, gain, kind, n_units, n_max, cfg)
+    want = reference_fidelity_profile(alpha, gain, kind, n_units, n_max, cfg)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", VALID_KINDS)
+def test_max_fidelity_profile_builds_states_once(monkeypatch, kind):
+    calls = Counter()
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name, home in (("coherent_state", fock), ("nla_diagonal", nla)):
+        original = getattr(home, name)
+        for module in (fock, nla, optimize):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy(name, original))
+    record = []
+    search = optimize.maximize_over_T
+    monkeypatch.setattr(optimize, "maximize_over_T",
+                        lambda objective, config=None:
+                        search(objective, config, record=record))
+
+    states = {}
+    for grid_points in (5, 50):
+        calls.clear()
+        record.clear()
+        max_fidelity_profile(0.4, 1.5, kind, 3, 30,
+                             SweepConfig(grid_points=grid_points))
+        # the input and the target state, however many T are tried
+        states[grid_points] = calls["coherent_state"]
+        # one diagonal per evaluation, plus the one at the optimum
+        assert calls["nla_diagonal"] == len(record) + 1
+        assert len(record) > grid_points
+    assert states[5] == states[50] == 2
+
+
+def _truncation_message(search):
+    with pytest.raises(TruncationError) as info:
+        search()
+    return str(info.value)
+
+
+def test_max_fidelity_profile_input_tail_guard():
+    args = (2.5, 1.5, "QS", 1, 8)
+    message = _truncation_message(lambda: max_fidelity_profile(*args))
+    assert message == _truncation_message(
+        lambda: reference_fidelity_profile(*args))
+    assert message.startswith("coherent state |alpha|=2.5 ")
+
+
+def test_max_fidelity_profile_output_guard_precedes_target_tail():
+    # at T = 1e-4 three catalysis units lift |n> by about T^(-n/2) up to
+    # n = 3, so at n_max 3 the output's top bin is its peak bin; the target
+    # |-0.2> also loses more than 1e-8 beyond n_max 3, so only the check
+    # order decides which guard speaks
+    args = (0.1, 2.0, "PC", 3, 3)
+    with pytest.raises(TruncationError):
+        coherent_state(-0.2, 3)
+    message = _truncation_message(lambda: max_fidelity_profile(*args))
+    assert message == _truncation_message(
+        lambda: reference_fidelity_profile(*args))
+    assert message.startswith("amplified state: top-bin population ")
 
 
 # ---------------------------------------------------------------------------
