@@ -12,7 +12,7 @@ from .nla import (AmplifyResult, NlaSpec, amplify_coherent,
                   fidelity_to_coherent, nla_diagonal, pc_gain,
                   pc_nla_diagonal, qs_gain, qs_nla_diagonal,
                   single_pc_diagonal)
-from .distill import (DistillResult, DistillScenario, PdcSpec, distill,
+from .distill import (DistillResult, DistillScenario, PdcSpec, apply_strategy,
                       lossy_pdc_densities, reference_no_nla, scenario_lambdas)
 from .optimize import (SweepConfig, max_fidelity_profile, maximize_over_T,
                        maximize_total_logneg)

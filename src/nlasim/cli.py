@@ -11,10 +11,12 @@ Subcommands
 ``sweep``            raw (T, log-negativity, success) grid for one scenario point.
 ``verify``           circuit-oracle self-checks with a pass/fail report.
 
-Config files are JSON objects.  Unknown keys and out-of-range values are
-rejected before any work starts; ``--out``, ``--format`` and ``--workers``
-override their config counterparts, and the verify-only ``--tolerance``
-overrides every check's tolerance.  All keys except the grids have defaults:
+Config files are JSON objects.  A subcommand's key table is the one list of
+keys it accepts: unknown keys and out-of-range values are rejected before any
+work starts, and ``--KEY`` overrides KEY where the table holds it (``--out``,
+``--format``, ``--workers``; for ``verify`` ``--out`` and ``--tolerance``, the
+latter for every check).  ``sweep`` runs serially, whatever ``workers`` says.
+All keys but the grids have defaults, ``optimizer``'s from ``SweepConfig``:
 
     {"experiment": "distill",            # optional, must match the subcommand
      "out": "rows.csv", "format": "csv", # or "jsonl"
@@ -43,14 +45,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import fock, nla, oracle
-from .distill import (DistillScenario, PdcSpec, apply_strategy,
-                      lossy_pdc_densities, reference_no_nla)
+from .distill import (DEFAULT_DECAY, DEFAULT_SUPERMODES, DistillScenario,
+                      PdcSpec, apply_strategy, lossy_pdc_densities,
+                      reference_no_nla)
 from .fock import (ChannelSpec, NormalizationError, TruncationError,
                    squeezing_from_db)
 from .nla import VALID_KINDS, NlaSpec
@@ -68,25 +70,14 @@ class ConfigError(ValueError):
     """Malformed or contradictory experiment configuration."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One validated experiment: subcommand name plus its parameter block."""
-
-    experiment: str
-    params: dict
-    out_path: str | None
-    out_format: str
-    workers: int | None
-    tolerance: float | None
-
-
 # ---------------------------------------------------------------------------
-# config validation: one key -> (parser, default) table per experiment.  The
-# parsers check types only; validate_config then builds the domain objects
-# once, so their constructors' range rules apply before any work, and hands
-# them to the runners: outside verify params["optimizer"] is a SweepConfig
-# and, for distill, cascade-compare and sweep, params["points"] holds one
-# DistillScenario per output row (two per n_units for cascade-compare).
+# config validation: one key -> (parser, default) table per experiment, for
+# config keys and flags alike.  The parsers check types only; validate_config
+# then builds the domain objects once, so their constructors' range rules
+# apply before any work, and hands them to the runners: outside verify
+# params["optimizer"] is a SweepConfig and, for distill, cascade-compare and
+# sweep, params["points"] holds one DistillScenario per output row (two per
+# n_units for cascade-compare).
 
 _ABSENT = object()      # default of an optional key that has none
 
@@ -145,8 +136,11 @@ def _workers(raw, where: str):
     return None if raw is None else _integer(raw, where)
 
 
-def _parse(raw: dict, table: dict, prefix: str = "") -> dict:
-    """Parse every key of ``table`` from ``raw``, filling defaults."""
+def _parse(raw: dict, table: dict, where: str, prefix: str = "") -> dict:
+    """Parse ``raw``, which may hold only ``table``'s keys; fill defaults."""
+    unknown = set(raw) - set(table)
+    if unknown:
+        _fail(where, f"unknown keys {sorted(unknown)}")
     out = {}
     for key, (parse, default) in table.items():
         value = raw.get(key, default)
@@ -174,26 +168,20 @@ def _optimizer(raw, where: str) -> dict:
         return {}
     if not isinstance(raw, dict):
         _fail(where, "expected an object")
-    unknown = set(raw) - set(_OPTIMIZER)
-    if unknown:
-        _fail(where, f"unknown keys {sorted(unknown)}")
-    return _parse(raw, _OPTIMIZER, f"{where}.")
-
-
-# the output keys; build_experiment parses them after the flag overrides
-_OUTPUT = {"out": (_path, None), "format": (_choice("csv", "jsonl"), "csv"),
-           "workers": (_workers, None)}
+    return _parse(raw, _OPTIMIZER, where, f"{where}.")
 
 
 def _common(experiment: str, n_max: int) -> dict:
     return {"experiment": (_choice(experiment), experiment),
+            "out": (_path, None), "format": (_choice("csv", "jsonl"), "csv"),
+            "workers": (_workers, None),
             "n_max": (partial(_integer, minimum=2, maximum=_MAX_N_MAX), n_max),
             "optimizer": (_optimizer, None)}
 
 
 _SOURCE = {"scenario": (_integer, 1), "r1_db": (_number, 5.0),
-           "k_modes": (partial(_integer, maximum=_MAX_K_MODES), 5),
-           "decay": (_number, 0.6),
+           "k_modes": (partial(_integer, maximum=_MAX_K_MODES),
+                       DEFAULT_SUPERMODES), "decay": (_number, DEFAULT_DECAY),
            "strategy": (_choice("unfiltered", "filtered"), "unfiltered"),
            "amplified_index": (_integer, 1)}
 
@@ -215,6 +203,7 @@ _TABLES = {
               "kind": (_choice(*VALID_KINDS), "PC"),
               "n_units": (_integer, 2)},
     "verify": {"experiment": (_choice("verify"), "verify"),
+               "out": (_path, None),
                "tolerance": (_number, _ABSENT),
                "checks": (_check_names, _ABSENT)},
 }
@@ -268,11 +257,7 @@ def validate_config(raw: dict, experiment: str) -> dict:
     """Check ``raw`` against the table for ``experiment``; fill defaults."""
     if experiment not in _TABLES:
         _fail("experiment", f"unknown experiment {experiment!r}")
-    table = _TABLES[experiment]
-    unknown = set(raw) - set(table) - set(_OUTPUT)
-    if unknown:
-        _fail(experiment, f"unknown config keys {sorted(unknown)}")
-    p = _parse(raw, table)
+    p = _parse(raw, _TABLES[experiment], experiment)
     try:
         _build_domain(experiment, p)
     except ValueError as exc:
@@ -280,19 +265,10 @@ def validate_config(raw: dict, experiment: str) -> dict:
     return p
 
 
-def build_experiment(experiment: str, raw: dict, *, out=None, fmt=None,
-                     workers=None, tolerance=None) -> ExperimentConfig:
-    """Merge CLI flag overrides into the validated config."""
-    params = validate_config(raw, experiment)
-    flags = {"out": out, "format": fmt, "workers": workers}
-    output = _parse({**raw, **{k: v for k, v in flags.items()
-                               if v is not None}}, _OUTPUT)
-    if tolerance is None:
-        tolerance = params.get("tolerance")
-    else:
-        tolerance = _number(tolerance, "tolerance")
-    return ExperimentConfig(experiment, params, output["out"],
-                            output["format"], output["workers"], tolerance)
+def build_experiment(experiment: str, raw: dict, **flags) -> dict:
+    """Validate ``raw`` with the CLI flags that were given merged over it."""
+    given = {key: value for key, value in flags.items() if value is not None}
+    return validate_config({**raw, **given}, experiment)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +298,13 @@ def _fan_out(worker, tasks, n_workers):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: (header, rows) out, rows already parameter-sorted
+# experiment runners: validated params in, (header, rows) out, rows sorted
 
-def run_amplify(cfg: ExperimentConfig):
-    p = cfg.params
+def run_amplify(p: dict):
     grid = [(a, g, k, n) for a in p["alphas"] for g in p["target_gains"]
             for n in p["n_units"] for k in p["kinds"]]
     tasks = [(a, g, k, n, p["n_max"], p["optimizer"]) for a, g, k, n in grid]
-    results = _fan_out(_amplify_point, tasks, cfg.workers)
+    results = _fan_out(_amplify_point, tasks, p["workers"])
     header = ["alpha", "target_gain", "kind", "n_units", "n_max",
               "optimal_t", "fidelity", "success_prob"]
     rows = [[a, g, k, n, p["n_max"], t, f, pr]
@@ -337,10 +312,9 @@ def run_amplify(cfg: ExperimentConfig):
     return header, rows
 
 
-def run_distill(cfg: ExperimentConfig):
-    p = cfg.params
+def run_distill(p: dict):
     tasks = [(sc, p["n_max"], p["optimizer"]) for sc in p["points"]]
-    results = _fan_out(_distill_point, tasks, cfg.workers)
+    results = _fan_out(_distill_point, tasks, p["workers"])
     header = ["attenuation_db", "eta", "scenario", "strategy", "kind",
               "n_units", "n_max", "optimal_t", "total_logneg",
               "success_prob", "reference_logneg"]
@@ -351,10 +325,9 @@ def run_distill(cfg: ExperimentConfig):
     return header, rows
 
 
-def run_cascade_compare(cfg: ExperimentConfig):
-    p = cfg.params
+def run_cascade_compare(p: dict):
     tasks = [(sc, p["n_max"], p["optimizer"]) for sc in p["points"]]
-    results = _fan_out(_distill_point, tasks, cfg.workers)
+    results = _fan_out(_distill_point, tasks, p["workers"])
     header = ["r_db", "n_units", "arrangement", "n_max", "optimal_t",
               "total_logneg", "success_prob"]
     label = {"PC": "parallel", "CascadedPC": "cascaded"}
@@ -364,9 +337,8 @@ def run_cascade_compare(cfg: ExperimentConfig):
     return header, rows
 
 
-def run_sweep(cfg: ExperimentConfig):
+def run_sweep(p: dict):
     """Emit the raw per-T objective surface for one distillation point."""
-    p = cfg.params
     sweep, (sc,) = p["optimizer"], p["points"]
     lossy = lossy_pdc_densities(sc.pdc, sc.channel, p["n_max"])
     header = ["attenuation_db", "kind", "n_units", "n_max", "t",
@@ -492,15 +464,15 @@ VERIFY_CHECKS = (
 )
 
 
-def run_verify(cfg: ExperimentConfig):
+def run_verify(p: dict):
     """Run the oracle checks; returns (report text, all_passed)."""
-    selected = cfg.params.get("checks")
+    selected, tolerance = p.get("checks"), p.get("tolerance")
     lines = []
     n_pass = n_run = 0
     for name, default_tol, check in VERIFY_CHECKS:
         if selected is not None and name not in selected:
             continue
-        tol = cfg.tolerance if cfg.tolerance is not None else default_tol
+        tol = default_tol if tolerance is None else tolerance
         dev = check()
         ok = dev <= tol
         n_run += 1
@@ -552,48 +524,51 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 # entry point
 
+# the override flags; a subcommand takes those whose key its table holds
+_FLAGS = {"out": {"help": "output path (default: stdout)"},
+          "format": {"choices": ("csv", "jsonl")}, "workers": {"type": int},
+          "tolerance": {"type": float,
+                        "help": "override every check's tolerance"}}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlasim",
         description="Amplifier and distillation experiments on truncated"
                     " Fock states.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in ("amplify", "distill", "cascade-compare", "sweep", "verify"):
+    for name, table in _TABLES.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "jsonl"))
-        p.add_argument("--workers", type=int)
-        if name == "verify":
-            p.add_argument("--tolerance", type=float,
-                           help="override every check's tolerance")
+        for key, options in _FLAGS.items():
+            if key in table:
+                p.add_argument(f"--{key}", **options)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        flags = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:  # argparse exits 2 on bad flags; remap
         return EXIT_OK if not exc.code else EXIT_CONFIG
+    experiment, config = flags.pop("experiment"), flags.pop("config")
 
     try:
-        raw = {} if ns.config is None else load_config(ns.config)
-        if ns.config is None and ns.experiment != "verify":
-            raise ConfigError(f"{ns.experiment}: --config is required")
-        cfg = build_experiment(ns.experiment, raw, out=ns.out, fmt=ns.format,
-                               workers=ns.workers,
-                               tolerance=getattr(ns, "tolerance", None))
+        if config is None and experiment != "verify":
+            raise ConfigError(f"{experiment}: --config is required")
+        raw = {} if config is None else load_config(config)
+        p = build_experiment(experiment, raw, **flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        if cfg.experiment == "verify":
-            report, all_ok = run_verify(cfg)
-            _write(report, cfg.out_path)
+        if experiment == "verify":
+            report, all_ok = run_verify(p)
+            _write(report, p["out"])
             return EXIT_OK if all_ok else EXIT_VERIFY
-        header, rows = _RUNNERS[cfg.experiment](cfg)
-        _write(render_rows(header, rows, cfg.out_format), cfg.out_path)
+        header, rows = _RUNNERS[experiment](p)
+        _write(render_rows(header, rows, p["format"]), p["out"])
     except (TruncationError, NormalizationError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERICS

@@ -24,9 +24,9 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import (ChannelSpec, DiagonalOperator, attenuator_diagonal,
-                   guard_truncation, squeezing_from_db, tmsv_schmidt,
-                   vacuum_projection_diagonal)
+from .fock import (ChannelSpec, DiagonalOperator, NormalizationError,
+                   attenuator_diagonal, guard_truncation, squeezing_from_db,
+                   tmsv_schmidt, vacuum_projection_diagonal)
 from .nla import NlaSpec, nla_diagonal
 
 Strategy = Literal["unfiltered", "filtered"]
@@ -215,7 +215,7 @@ def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
     for i in heralded:
         p = float((acted[i] ** 2).sum())
         if p <= 0.0:
-            raise ValueError(
+            raise NormalizationError(
                 f"herald probability vanished on supermode {i + 1}")
         prob *= p
         acted[i] /= math.sqrt(p)
@@ -224,13 +224,6 @@ def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
         guard_truncation(pops.sum(axis=0), what=f"supermode {i + 1} arm B")
     lognegs = _log_negativities(acted)
     return DistillResult(lognegs, float(lognegs.sum()), prob)
-
-
-def distill(scenario: DistillScenario, n_max: int) -> DistillResult:
-    """Full pipeline at the amplifier transmissivity fixed in the scenario."""
-    lossy = lossy_pdc_densities(scenario.pdc, scenario.channel, n_max)
-    return apply_strategy(lossy, scenario.nla, scenario.strategy,
-                          scenario.amplified_index)
 
 
 def reference_no_nla(lossy: np.ndarray) -> DistillResult:

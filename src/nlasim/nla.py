@@ -27,8 +27,8 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import (DiagonalOperator, PureStateVector, coherent_state,
-                   guard_truncation)
+from .fock import (DiagonalOperator, NormalizationError, PureStateVector,
+                   coherent_state, guard_truncation)
 
 NlaKind = Literal["QS", "PC", "CascadedPC"]
 
@@ -213,13 +213,14 @@ def _herald(diag: DiagonalOperator,
             psi: PureStateVector) -> tuple[PureStateVector, float]:
     """Heralded output of ``diag`` on ``psi``, normalised, and its probability.
 
-    Raises when the herald has zero probability and when the output's top
-    Fock bin is populated (TruncationError), in that order.
+    Raises NormalizationError when the herald has zero probability, then
+    TruncationError when the output's top Fock bin is populated.
     """
     unnorm = diag.coeffs * psi.amps
     prob = float(np.vdot(unnorm, unnorm).real)
     if prob <= 0.0:
-        raise ValueError("herald has zero probability at these parameters")
+        raise NormalizationError(
+            "herald has zero probability at these parameters")
     out = PureStateVector(unnorm / math.sqrt(prob))
     guard_truncation(out.populations(), what="amplified state")
     return out, prob

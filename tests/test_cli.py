@@ -1,5 +1,6 @@
 """Experiment runner: config validation, row emission, verify, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -92,9 +93,9 @@ def test_optimizer_subschema():
 
 def test_flag_overrides_beat_config(tmp_path):
     raw = {"attenuations_db": [0.0], "format": "csv", "workers": 4}
-    cfg = build_experiment("distill", raw, fmt="jsonl", workers=1)
-    assert cfg.out_format == "jsonl"
-    assert cfg.workers == 1
+    cfg = build_experiment("distill", raw, format="jsonl", workers=1)
+    assert cfg["format"] == "jsonl"
+    assert cfg["workers"] == 1
 
 
 # any JSON value at any key: accepted or a ConfigError, never another error.
@@ -112,8 +113,7 @@ VALID_BASE = {"amplify": {"alphas": [0.2], "target_gains": [1.5],
               "distill": {"attenuations_db": [0.0]},
               "cascade-compare": {}, "sweep": {}, "verify": {}}
 SLOTS = [(experiment, key) for experiment, table in sorted(cli._TABLES.items())
-         for key in [*table, *cli._OUTPUT,
-                     *(f"optimizer.{k}" for k in cli._OPTIMIZER)]]
+         for key in [*table, *(f"optimizer.{k}" for k in cli._OPTIMIZER)]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,6 +244,17 @@ def test_truncation_guard_gives_exit_2(tmp_path, capsys):
     assert "numerical guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, payload", [
+    ("distill", {"attenuations_db": [3], "kinds": ["PC"], "n_units": [400]}),
+    ("amplify", {**AMPLIFY_MIN, "kinds": ["PC"], "n_units": [400]}),
+], ids=["distill", "amplify"])
+def test_vanished_herald_gives_exit_2(tmp_path, capsys, experiment, payload):
+    # sqrt(T)^N underflows to zero at t_min for N = 400 catalysis units
+    path = write_config(tmp_path, payload)
+    assert main([experiment, "--config", path, "--workers", "1"]) == 2
+    assert "numerical guard" in capsys.readouterr().err
+
+
 def test_unknown_key_gives_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, {"attenuations_db": [0.0], "zzz": 1})
     assert main(["distill", "--config", path]) == 1
@@ -306,6 +317,36 @@ def test_bad_config_is_config_error_before_any_work(
     err = capsys.readouterr().err
     assert "config error" in err
     assert named in err
+
+
+def test_override_flags_are_the_table_keys():
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {action.dest for action in sub._actions
+                     if action.option_strings and action.dest != "help"}
+             for name, sub in subparsers.choices.items()}
+    output = {"config", "out", "format", "workers"}
+    assert flags == {"amplify": output, "distill": output,
+                     "cascade-compare": output, "sweep": output,
+                     "verify": {"config", "out", "tolerance"}}
+    for name, dests in flags.items():
+        assert dests - {"config"} <= set(cli._TABLES[name])
+    assert set(cli._TABLES["verify"]) == {"experiment", "out", "tolerance",
+                                          "checks"}
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["--format", "jsonl"], None),
+    (["--workers", "2"], None),
+    ([], {"format": "csv"}),
+    ([], {"workers": 2}),
+], ids=["format-flag", "workers-flag", "format-key", "workers-key"])
+def test_verify_rejects_output_format_and_workers(tmp_path, capsys, argv,
+                                                  payload):
+    if payload is not None:
+        argv = ["--config", write_config(tmp_path, payload)]
+    assert main(["verify", *argv]) == 1
+    capsys.readouterr()
 
 
 def test_tolerance_flag_is_verify_only(tmp_path, capsys):

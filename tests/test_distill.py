@@ -1,14 +1,16 @@
 """Distillation pipeline: source scenarios, strategies, references, cascades."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nlasim
 from nlasim.distill import (DistillScenario, PdcSpec, _log_negativities,
-                            apply_strategy, distill, lossy_pdc_densities,
+                            apply_strategy, lossy_pdc_densities,
                             reference_no_nla, scenario_lambdas)
 from nlasim.fock import (BipartiteDensity, ChannelSpec, TruncationError,
                          apply_diagonal, apply_loss, attenuator_diagonal,
@@ -261,15 +263,20 @@ def test_eigensolve_covers_only_entangleable_support(monkeypatch):
 # ---------------------------------------------------------------------------
 # strategies
 
-def test_distill_equals_loss_plus_strategy():
+def test_scenario_defaults_match_apply_strategy():
     pdc = scenario1()
     nla = NlaSpec("PC", 2, 0.1)
     sc = DistillScenario(pdc, ChannelSpec(5.0), nla)
-    direct = distill(sc, N_MAX)
-    lossy = lossy_pdc_densities(pdc, ChannelSpec(5.0), N_MAX)
-    staged = apply_strategy(lossy, nla)
-    assert direct.total_logneg == staged.total_logneg
-    assert direct.success_prob == staged.success_prob
+    lossy = lossy_pdc_densities(pdc, sc.channel, N_MAX)
+    from_scenario = apply_strategy(lossy, sc.nla, sc.strategy,
+                                   sc.amplified_index)
+    defaults = apply_strategy(lossy, nla)
+    assert from_scenario.total_logneg == defaults.total_logneg
+    assert from_scenario.success_prob == defaults.success_prob
+
+
+def test_nlasim_distill_names_the_submodule():
+    assert nlasim.distill is sys.modules["nlasim.distill"]
 
 
 def test_success_prob_is_product_of_heralds():
@@ -442,8 +449,8 @@ def test_cascade_compare_two_units_tradeoff():
 
 def test_determinism_bitwise():
     pdc = scenario1()
-    sc = DistillScenario(pdc, ChannelSpec(8.0), NlaSpec("QS", 2, 0.07))
-    a = distill(sc, N_MAX)
-    b = distill(sc, N_MAX)
+    nla = NlaSpec("QS", 2, 0.07)
+    a = apply_strategy(lossy_pdc_densities(pdc, ChannelSpec(8.0), N_MAX), nla)
+    b = apply_strategy(lossy_pdc_densities(pdc, ChannelSpec(8.0), N_MAX), nla)
     assert a.total_logneg == b.total_logneg
     assert a.success_prob == b.success_prob

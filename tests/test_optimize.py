@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlasim.distill import (DistillScenario, PdcSpec, distill,
+from nlasim.distill import (DistillScenario, PdcSpec, apply_strategy,
                             lossy_pdc_densities)
 from nlasim import fock, nla, optimize
 from nlasim.fock import ChannelSpec, TruncationError, coherent_state
@@ -232,11 +232,10 @@ def test_maximize_total_logneg_consistent_with_distill():
     pdc = PdcSpec.from_scenario(1, 5.0)
     sc = DistillScenario(pdc, ChannelSpec(8.0), NlaSpec("QS", 2, 0.5))
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
-    best = maximize_total_logneg(
-        sc, lossy_pdc_densities(sc.pdc, sc.channel, 20), cfg)
+    lossy = lossy_pdc_densities(sc.pdc, sc.channel, 20)
+    best = maximize_total_logneg(sc, lossy, cfg)
     assert best.optimal_t is not None
-    redo = distill(DistillScenario(pdc, ChannelSpec(8.0),
-                                   NlaSpec("QS", 2, best.optimal_t)), 20)
+    redo = apply_strategy(lossy, NlaSpec("QS", 2, best.optimal_t))
     assert best.total_logneg == pytest.approx(redo.total_logneg, rel=1e-12)
     assert best.success_prob == pytest.approx(redo.success_prob, rel=1e-12)
 
@@ -245,7 +244,7 @@ def test_maximize_total_logneg_beats_fixed_choice():
     pdc = PdcSpec.from_scenario(1, 5.0)
     sc = DistillScenario(pdc, ChannelSpec(8.0), NlaSpec("QS", 2, 0.5))
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
-    best = maximize_total_logneg(
-        sc, lossy_pdc_densities(sc.pdc, sc.channel, 20), cfg)
-    fixed = distill(sc, 20)
+    lossy = lossy_pdc_densities(sc.pdc, sc.channel, 20)
+    best = maximize_total_logneg(sc, lossy, cfg)
+    fixed = apply_strategy(lossy, sc.nla)
     assert best.total_logneg >= fixed.total_logneg - 1e-12
