@@ -15,7 +15,9 @@ Config files are JSON objects.  A subcommand's key table is the one list of
 keys it accepts: unknown keys and out-of-range values are rejected before any
 work starts, and ``--KEY`` overrides KEY where the table holds it (``--out``,
 ``--format``, ``--workers``; for ``verify`` ``--out`` and ``--tolerance``, the
-latter for every check).  ``sweep`` runs serially, whatever ``workers`` says.
+latter for every check).  ``sweep`` runs serially, whatever ``workers`` says,
+and samples the T grid with no refinement, so its ``optimizer`` takes no
+``refine_tolerance``.
 All keys but the grids have defaults, ``optimizer``'s from ``SweepConfig``:
 
     {"experiment": "distill",            # optional, must match the subcommand
@@ -33,8 +35,8 @@ emitted in sorted parameter order regardless of worker scheduling, and float
 cells use 17 significant digits, so identical configs give byte-identical
 output at any worker count.
 
-Exit codes: 0 success, 1 config/validation error, 2 numerical-guard failure,
-3 verification failure.
+Exit codes: 0 success, 1 config/validation error or unwritable ``--out``,
+2 numerical-guard failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # config validation: one key -> (parser, default) table per experiment, for
-# config keys and flags alike.  The parsers check types only; validate_config
+# config keys and flags alike.  The parsers check types only; build_experiment
 # then builds the domain objects once, so their constructors' range rules
 # apply before any work, and hands them to the runners: outside verify
 # params["optimizer"] is a SweepConfig and, for distill, cascade-compare and
@@ -157,18 +159,18 @@ _MAX_GRID_POINTS = 100_000
 # canonical order, so output ordering never depends on config order
 _KINDS = _grid(_choice(*VALID_KINDS), key=VALID_KINDS.index)
 
-_OPTIMIZER = {"t_min": (_number, _ABSENT), "t_max": (_number, _ABSENT),
-              "grid_points": (partial(_integer, minimum=4,
-                                      maximum=_MAX_GRID_POINTS), _ABSENT),
-              "refine_tolerance": (_number, _ABSENT)}
+_T_GRID = {"t_min": (_number, _ABSENT), "t_max": (_number, _ABSENT),
+           "grid_points": (partial(_integer, minimum=4,
+                                   maximum=_MAX_GRID_POINTS), _ABSENT)}
+_OPTIMIZER = {**_T_GRID, "refine_tolerance": (_number, _ABSENT)}
 
 
-def _optimizer(raw, where: str) -> dict:
+def _optimizer(raw, where: str, table=_OPTIMIZER) -> dict:
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         _fail(where, "expected an object")
-    return _parse(raw, _OPTIMIZER, where, f"{where}.")
+    return _parse(raw, table, where, f"{where}.")
 
 
 def _common(experiment: str, n_max: int) -> dict:
@@ -199,6 +201,7 @@ _TABLES = {
                         "r_db": (_number, 3.0),
                         "n_units": (_grid(_integer), [1, 2, 3])},
     "sweep": {**_common("sweep", 20), **_SOURCE,
+              "optimizer": (partial(_optimizer, table=_T_GRID), None),
               "attenuation_db": (_number, 0.0),
               "kind": (_choice(*VALID_KINDS), "PC"),
               "n_units": (_integer, 2)},
@@ -253,11 +256,13 @@ def _build_domain(experiment: str, p: dict) -> None:
                         for db, k, n in grid)
 
 
-def validate_config(raw: dict, experiment: str) -> dict:
-    """Check ``raw`` against the table for ``experiment``; fill defaults."""
+def build_experiment(experiment: str, raw: dict, **flags) -> dict:
+    """Check ``raw``, with the CLI flags that were given merged over it,
+    against the table for ``experiment``; fill defaults."""
     if experiment not in _TABLES:
         _fail("experiment", f"unknown experiment {experiment!r}")
-    p = _parse(raw, _TABLES[experiment], experiment)
+    given = {key: value for key, value in flags.items() if value is not None}
+    p = _parse({**raw, **given}, _TABLES[experiment], experiment)
     try:
         _build_domain(experiment, p)
     except ValueError as exc:
@@ -265,21 +270,10 @@ def validate_config(raw: dict, experiment: str) -> dict:
     return p
 
 
-def build_experiment(experiment: str, raw: dict, **flags) -> dict:
-    """Validate ``raw`` with the CLI flags that were given merged over it."""
-    given = {key: value for key, value in flags.items() if value is not None}
-    return validate_config({**raw, **given}, experiment)
-
-
 # ---------------------------------------------------------------------------
 # worker tasks (module-level, picklable)
 
-def _amplify_point(task):
-    return max_fidelity_profile(*task)
-
-
-def _distill_point(task):
-    scenario, n_max, sweep = task
+def _distill_point(scenario, n_max, sweep):
     lossy = lossy_pdc_densities(scenario.pdc, scenario.channel, n_max)
     best = maximize_total_logneg(scenario, lossy, sweep)
     ref = reference_no_nla(lossy)
@@ -292,9 +286,9 @@ def _fan_out(worker, tasks, n_workers):
         n_workers = os.cpu_count() or 1
     n_workers = max(1, min(n_workers, len(tasks)))
     if n_workers == 1:
-        return [worker(t) for t in tasks]
+        return [worker(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=1))
+        return list(pool.map(worker, *zip(*tasks), chunksize=1))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +298,7 @@ def run_amplify(p: dict):
     grid = [(a, g, k, n) for a in p["alphas"] for g in p["target_gains"]
             for n in p["n_units"] for k in p["kinds"]]
     tasks = [(a, g, k, n, p["n_max"], p["optimizer"]) for a, g, k, n in grid]
-    results = _fan_out(_amplify_point, tasks, p["workers"])
+    results = _fan_out(max_fidelity_profile, tasks, p["workers"])
     header = ["alpha", "target_gain", "kind", "n_units", "n_max",
               "optimal_t", "fidelity", "success_prob"]
     rows = [[a, g, k, n, p["n_max"], t, f, pr]
@@ -354,101 +348,79 @@ def run_sweep(p: dict):
 
 
 # ---------------------------------------------------------------------------
-# verify: oracle circuits against the closed forms they certify
+# verify: oracle circuits against the closed forms they certify.  Each check
+# yields got - want for every case it covers; run_verify folds max |.|.
 
-def _dev_pc_multinomial() -> float:
-    dev = 0.0
+def _dev_pc_multinomial():
     for n_units in (1, 2, 3):
         for t in (0.1, 0.5, 0.9):
             coeffs = nla.pc_nla_diagonal(n_units, t, 8).coeffs
             for n in range(9):
-                dev = max(dev, abs(coeffs[n]
-                                   - oracle.pc_nla_multinomial(n_units, t, n)))
-    return dev
+                yield coeffs[n] - oracle.pc_nla_multinomial(n_units, t, n)
 
 
-def _dev_pc_circuit() -> float:
-    dev = 0.0
+def _dev_pc_circuit():
     for t in (0.2, 0.5, 0.8):
-        got = oracle.pc_circuit_operator(t, 6)
-        want = np.diag(nla.single_pc_diagonal(t, 6).coeffs)
-        dev = max(dev, float(np.abs(got - want).max()))
-    return dev
+        yield (oracle.pc_circuit_operator(t, 6)
+               - np.diag(nla.single_pc_diagonal(t, 6).coeffs))
 
 
-def _dev_qs_circuit() -> float:
-    dev = 0.0
+def _dev_qs_circuit():
     for t1 in (0.3, 0.5, 0.7):
         for t2 in (0.2, 0.6, 0.9):
             keep = oracle.qs_circuit_operator(t1, t2, 5)
             want = np.zeros_like(keep)
             want[0, 0] = math.sqrt(t1 * t2)
             want[1, 1] = math.sqrt((1 - t1) * (1 - t2))
-            dev = max(dev, float(np.abs(keep - want).max()))
+            yield keep - want
             swap = oracle.qs_circuit_operator(t1, t2, 5, detect="c")
             want[0, 0] = -math.sqrt((1 - t1) * t2)
             want[1, 1] = math.sqrt(t1 * (1 - t2))
-            dev = max(dev, float(np.abs(swap - want).max()))
-    return dev
+            yield swap - want
 
 
-def _dev_qs_multimode() -> float:
-    dev = 0.0
+def _dev_qs_multimode():
     want = np.zeros((3, 3), dtype=complex)
     for t1, t2 in ((0.5, 0.3), (0.4, 0.7)):
         want[0, 0] = math.sqrt(t1 * t2)
         want[1, 1] = math.sqrt((1 - t1) * (1 - t2))
         for gammas in ((1.0, 0.0), (2 ** -0.5, 2 ** -0.5), (0.6, 0.8j)):
-            got = oracle.multimode_qs_operator(t1, t2, gammas)
-            dev = max(dev, float(np.abs(got - want).max()))
-    return dev
+            yield oracle.multimode_qs_operator(t1, t2, gammas) - want
 
 
-def _dev_qs_splitter() -> float:
-    dev = 0.0
+def _dev_qs_splitter():
     for n_units in (1, 2):
         for t in (0.25, 0.6):
             got = oracle.qs_nla_splitter_circuit(n_units, t, n_units)
             got = got * 2 ** (n_units / 2)  # documented fan-out convention
             want = np.diag(nla.qs_nla_diagonal(n_units, t, n_units).coeffs)
-            dev = max(dev, float(np.abs(got - want).max()))
-    return dev
+            yield got - want
 
 
-def _dev_nsplitter() -> float:
-    dev = 0.0
+def _dev_nsplitter():
     for n_paths in (2, 3, 4, 5):
         u = oracle.nsplitter_unitary(n_paths)
-        eye = np.eye(n_paths)
         amp = 1 / math.sqrt(n_paths)
-        dev = max(dev, float(np.abs(u @ u.T - eye).max()),
-                  float(np.abs(u[0] - amp).max()),
-                  float(np.abs(u[:, 0] - amp).max()))
-    return dev
+        yield from (u @ u.T - np.eye(n_paths), u[0] - amp, u[:, 0] - amp)
 
 
-def _dev_beam_splitter() -> float:
+def _dev_beam_splitter():
     bs = fock.beam_splitter_unitary(0.37, 8)
-    dev = 0.0
     for s in range(9):
         b = bs.block(s)
-        dev = max(dev, float(np.abs(b @ b.T - np.eye(s + 1)).max()))
-    return dev
+        yield b @ b.T - np.eye(s + 1)
 
 
-def _dev_loss_channel() -> float:
-    dev = 0.0
+def _dev_loss_channel():
     for eta in (0.1, 0.5, 0.794328234724281, 1.0):
         kraus = fock.loss_kraus_operators(eta, 12)
-        total = sum(k.T @ k for k in kraus)
-        dev = max(dev, float(np.abs(total - np.eye(13)).max()))
-    return dev
+        yield sum(k.T @ k for k in kraus) - np.eye(13)
 
 
-def _dev_tmsv_logneg() -> float:
+def _dev_tmsv_logneg():
     r = 0.3
     lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), 1.0, 40)
-    return abs(reference_no_nla(lossy).total_logneg - 2 * r / math.log(2))
+    yield reference_no_nla(lossy).total_logneg - 2 * r / math.log(2)
 
 
 VERIFY_CHECKS = (
@@ -473,7 +445,7 @@ def run_verify(p: dict):
         if selected is not None and name not in selected:
             continue
         tol = default_tol if tolerance is None else tolerance
-        dev = check()
+        dev = max(float(np.abs(d).max()) for d in check())
         ok = dev <= tol
         n_run += 1
         n_pass += ok
@@ -508,9 +480,12 @@ def render_rows(header, rows, out_format: str) -> str:
 def _write(text: str, out_path: str | None):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path!r}: {exc}") from exc
 
 
 _RUNNERS = {
@@ -558,17 +533,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"{experiment}: --config is required")
         raw = {} if config is None else load_config(config)
         p = build_experiment(experiment, raw, **flags)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if experiment == "verify":
             report, all_ok = run_verify(p)
             _write(report, p["out"])
             return EXIT_OK if all_ok else EXIT_VERIFY
         header, rows = _RUNNERS[experiment](p)
         _write(render_rows(header, rows, p["format"]), p["out"])
+    except ConfigError as exc:      # a bad config or an unwritable --out
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (TruncationError, NormalizationError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERICS

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlasim.cli as cli
+import nlasim.fock as fock_module
 import nlasim.nla as nla_module
+import nlasim.oracle as oracle_module
 from nlasim.cli import (ConfigError, build_experiment, main, render_rows,
-                        run_verify, validate_config)
+                        run_verify)
 
 AMPLIFY_MIN = {"alphas": [0.2], "target_gains": [1.0, 2.0],
                "n_units": [1, 2], "kinds": ["QS", "PC"], "n_max": 20,
@@ -44,30 +46,30 @@ def test_cli_import_loads_no_scipy():
 
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError):
-        validate_config({"alphas": [0.2], "target_gains": [1.0],
-                         "n_units": [1], "frobnicate": 3}, "amplify")
+        build_experiment("amplify", {"alphas": [0.2], "target_gains": [1.0],
+                                     "n_units": [1], "frobnicate": 3})
 
 
 def test_empty_grid_rejected():
     with pytest.raises(ConfigError):
-        validate_config({"alphas": [], "target_gains": [1.0],
-                         "n_units": [1]}, "amplify")
+        build_experiment("amplify", {"alphas": [], "target_gains": [1.0],
+                                     "n_units": [1]})
 
 
 def test_bad_kind_rejected():
     with pytest.raises(ConfigError):
-        validate_config({"attenuations_db": [5.0], "kinds": ["QQ"]},
-                        "distill")
+        build_experiment("distill", {"attenuations_db": [5.0],
+                                     "kinds": ["QQ"]})
 
 
 def test_experiment_mismatch_rejected():
     with pytest.raises(ConfigError):
-        validate_config({"experiment": "distill", "alphas": [0.2],
-                         "target_gains": [1.0], "n_units": [1]}, "amplify")
+        build_experiment("amplify", {"experiment": "distill", "alphas": [0.2],
+                                     "target_gains": [1.0], "n_units": [1]})
 
 
 def test_scalar_defaults_filled():
-    p = validate_config({"attenuations_db": [0.0]}, "distill")
+    p = build_experiment("distill", {"attenuations_db": [0.0]})
     assert p["scenario"] == 1
     assert p["r1_db"] == 5.0
     assert p["kinds"] == ("QS", "PC")
@@ -76,15 +78,15 @@ def test_scalar_defaults_filled():
 
 
 def test_kind_order_is_canonical():
-    p = validate_config({"attenuations_db": [0.0],
-                         "kinds": ["PC", "QS"]}, "distill")
+    p = build_experiment("distill", {"attenuations_db": [0.0],
+                                     "kinds": ["PC", "QS"]})
     assert p["kinds"] == ("QS", "PC")
 
 
 def test_optimizer_subschema():
     with pytest.raises(ConfigError):
-        validate_config({"attenuations_db": [0.0],
-                         "optimizer": {"bogus": 1}}, "distill")
+        build_experiment("distill", {"attenuations_db": [0.0],
+                                     "optimizer": {"bogus": 1}})
     with pytest.raises(ConfigError):
         build_experiment("distill", {"attenuations_db": [0.0],
                                      "optimizer": {"t_min": 0.9,
@@ -293,6 +295,8 @@ DISTILL_MIN = {"attenuations_db": [0.0]}
     ("cascade-compare", {"r_db": -1.0}, "r_db"),
     ("distill", {**DISTILL_MIN, "r1_db": -2.0}, "r1_db"),
     ("sweep", {"r1_db": -2.0}, "r1_db"),
+    # sweep samples the T grid as is, so a refinement key would do nothing
+    ("sweep", {"optimizer": {"refine_tolerance": 1e-3}}, "refine_tolerance"),
     # typo guards on the sizes that set allocations
     ("distill", {**DISTILL_MIN, "k_modes": 10 ** 10}, "k_modes"),
     ("sweep", {"n_max": 201}, "n_max"),
@@ -304,19 +308,47 @@ DISTILL_MIN = {"attenuations_db": [0.0]}
         "non-string-out", "unknown-check", "verify-n-max", "verify-optimizer",
         "decay-out-of-range",
         "negative-attenuation", "negative-squeezing", "negative-r1-db",
-        "sweep-negative-r1-db", "huge-k-modes", "n-max-above-bound",
-        "grid-points-above-bound"])
+        "sweep-negative-r1-db", "sweep-refine-tolerance", "huge-k-modes",
+        "n-max-above-bound", "grid-points-above-bound"])
 def test_bad_config_is_config_error_before_any_work(
         tmp_path, capsys, monkeypatch, experiment, payload, named):
     def no_work(*args):
         raise AssertionError("work started on a rejected config")
 
     monkeypatch.setattr(cli, "_fan_out", no_work)
+    monkeypatch.setattr(cli, "lossy_pdc_densities", no_work)  # sweep's work
     path = write_config(tmp_path, payload)
     assert main([experiment, "--config", path]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
     assert named in err
+
+
+SWEEP_MIN = {"attenuation_db": 5.0, "kind": "PC", "n_units": 2, "n_max": 18,
+             "optimizer": {"grid_points": 4}}
+
+
+@pytest.mark.parametrize("experiment", ["verify", "sweep"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, experiment):
+    argv = [experiment]
+    if experiment == "sweep":
+        argv += ["--config", write_config(tmp_path, SWEEP_MIN)]
+    out = str(tmp_path / "no-such-dir" / "rows.txt")
+    assert main([*argv, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {out!r}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_oserror_from_the_work_is_not_an_out_error(tmp_path, monkeypatch):
+    def broken_pool(*args):
+        raise OSError("pool failed")
+
+    monkeypatch.setattr(cli, "_fan_out", broken_pool)
+    path = write_config(tmp_path, DISTILL_MIN)
+    with pytest.raises(OSError, match="pool failed"):
+        main(["distill", "--config", path, "--out", str(tmp_path / "a.csv")])
 
 
 def test_override_flags_are_the_table_keys():
@@ -385,6 +417,26 @@ def test_verify_detects_wrong_sign_diagonal(monkeypatch, capsys):
     assert main(["verify"]) == 3
     out = capsys.readouterr().out
     assert "FAIL pc_diagonal_multinomial" in out
+
+
+def test_verify_detects_failure_in_last_case(monkeypatch, capsys):
+    true_splitter = oracle_module.nsplitter_unitary
+    true_kraus = fock_module.loss_kraus_operators
+
+    def splitter(n_paths):
+        u = true_splitter(n_paths)
+        return u + 1e-3 if n_paths == 5 else u
+
+    def kraus(eta, n_max):
+        ops = true_kraus(eta, n_max)
+        return 2 * ops if eta == 1.0 else ops
+
+    monkeypatch.setattr(oracle_module, "nsplitter_unitary", splitter)
+    monkeypatch.setattr(fock_module, "loss_kraus_operators", kraus)
+    assert main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL nsplitter_unitary" in out
+    assert "FAIL loss_trace_preserving" in out
 
 
 def test_verify_subset_of_checks(tmp_path, capsys):
