@@ -362,7 +362,7 @@ def _dev_pc_multinomial():
 def _dev_pc_circuit():
     for t in (0.2, 0.5, 0.8):
         yield (oracle.pc_circuit_operator(t, 6)
-               - np.diag(nla.single_pc_diagonal(t, 6).coeffs))
+               - np.diag(nla.pc_nla_diagonal(1, t, 6).coeffs))
 
 
 def _dev_qs_circuit():
@@ -405,9 +405,7 @@ def _dev_nsplitter():
 
 
 def _dev_beam_splitter():
-    bs = fock.beam_splitter_unitary(0.37, 8)
-    for s in range(9):
-        b = bs.block(s)
+    for s, b in enumerate(fock.beam_splitter_unitary(0.37, 8)):
         yield b @ b.T - np.eye(s + 1)
 
 
@@ -542,7 +540,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:      # a bad config or an unwritable --out
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TruncationError, NormalizationError) as exc:
+    except (TruncationError, NormalizationError, OverflowError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     return EXIT_OK

@@ -2,15 +2,10 @@
 
 A parametric-down-conversion source emits K orthogonal supermode pairs, each
 a two-mode squeezed vacuum with squeezing r_k = G * lambda_k.  Arm B of every
-pair passes the same lossy channel; one supermode is then amplified.  What
-happens to the remaining supermodes depends on the receiver:
-
-* ``unfiltered`` + QS: the scissors herald succeeds only when they arrive in
-  vacuum, so they are vacuum-projected;
-* ``unfiltered`` + PC: the parallel catalysis circuit attenuates them by
-  sqrt(T) per photon (independent of N); the cascade attenuates once per
-  stage;
-* ``filtered``: an ideal supermode filter leaves them untouched.
+pair passes the same lossy channel; one supermode is then amplified.  An
+ideal supermode filter (``filtered``) leaves the remaining supermodes
+untouched; without one (``unfiltered``) the amplifier circuit acts on them
+too, as :mod:`nlasim.nla` says for each amplifier kind.
 
 The figure of merit is the summed logarithmic negativity over supermodes and
 the joint success probability of all heralds involved.
@@ -24,10 +19,9 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import (ChannelSpec, DiagonalOperator, NormalizationError,
-                   attenuator_diagonal, guard_truncation, squeezing_from_db,
-                   tmsv_schmidt, vacuum_projection_diagonal)
-from .nla import NlaSpec, nla_diagonal
+from .fock import (ChannelSpec, NormalizationError, guard_truncation,
+                   squeezing_from_db, tmsv_schmidt)
+from .nla import NlaSpec, _passive_diagonal, nla_diagonal
 
 Strategy = Literal["unfiltered", "filtered"]
 
@@ -149,16 +143,6 @@ def lossy_pdc_densities(spec: PdcSpec, channel: "ChannelSpec | float",
     lost = np.maximum(n[:, None] - n, 0)
     return c[:, :, None] * (np.sqrt(binom) * eta ** (n / 2.0)
                             * (1.0 - eta) ** (lost / 2.0))
-
-
-def _passive_diagonal(nla: NlaSpec, n_max: int) -> DiagonalOperator:
-    # what the amplifier circuit does to supermodes it was not aimed at
-    if nla.kind == "QS":
-        return vacuum_projection_diagonal(n_max)
-    if nla.kind == "PC":
-        return attenuator_diagonal(nla.transmissivity, n_max)
-    # one attenuation per cascade stage
-    return attenuator_diagonal(nla.transmissivity ** nla.n_units, n_max)
 
 
 def _log_negativities(amp: np.ndarray) -> np.ndarray:

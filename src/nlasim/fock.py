@@ -263,27 +263,13 @@ def tmsv_density(r: float, n_max: int,
     return BipartiteDensity(np.outer(vec, vec.conj()))
 
 
-@dataclass(frozen=True)
-class BeamSplitterUnitary:
-    """Two-mode beam-splitter unitary organised in total-photon-number blocks.
+def beam_splitter_unitary(transmissivity: float, n_total_max: int) -> tuple:
+    """Two-mode beam-splitter unitary as its total-photon-number blocks.
 
     Generator exp[theta (x^dag y - x y^dag)] with cos(theta) = sqrt(T) for the
-    ordered mode pair (x, y).  Block ``s`` acts on {|s-j, j> : j = 0..s} where
-    ``j`` counts photons in the second mode.
+    ordered mode pair (x, y).  Block ``s``, for s = 0..n_total_max, acts on
+    {|s-j, j> : j = 0..s} where ``j`` counts photons in the second mode.
     """
-
-    transmissivity: float
-    blocks: tuple
-
-    def block(self, n_total: int) -> np.ndarray:
-        if not 0 <= n_total < len(self.blocks):
-            raise ValueError(f"no block for total photon number {n_total}")
-        return self.blocks[n_total]
-
-
-def beam_splitter_unitary(transmissivity: float,
-                          n_total_max: int) -> BeamSplitterUnitary:
-    """Build the block-diagonal beam-splitter unitary up to ``n_total_max``."""
     if not 0.0 < transmissivity < 1.0:
         raise ValueError("transmissivity must lie strictly in (0, 1)")
     theta = math.acos(math.sqrt(transmissivity))
@@ -302,7 +288,7 @@ def beam_splitter_unitary(transmissivity: float,
         block = ((v * np.exp(-1j * w)) @ v.conj().T).real
         block.setflags(write=False)
         blocks.append(block)
-    return BeamSplitterUnitary(transmissivity, tuple(blocks))
+    return tuple(blocks)
 
 
 def loss_kraus_operators(eta: float, n_max: int) -> np.ndarray:

@@ -8,7 +8,8 @@ Fock basis once the ancilla and detection pattern are fixed:
   truncated at N photons;
 * photon catalysis (PC): N single-photon catalysis units in the same
   parallel arrangement, gain g = (1-2T)/sqrt(T) onto the phase-flipped
-  target (amplifying for T < 1/4), plus the N-fold cascaded variant.
+  target (amplifying for T < 1/4), plus the N-fold cascade, whose target
+  and bystander diagonals are those of one unit raised to the N-th power.
 
 The alternating sums in the parallel-catalysis coefficients are formed as one
 exact integer numerator over one integer denominator and rounded once, so no
@@ -28,7 +29,8 @@ from typing import Literal
 import numpy as np
 
 from .fock import (DiagonalOperator, NormalizationError, PureStateVector,
-                   coherent_state, guard_truncation)
+                   attenuator_diagonal, coherent_state, guard_truncation,
+                   vacuum_projection_diagonal)
 
 NlaKind = Literal["QS", "PC", "CascadedPC"]
 
@@ -44,6 +46,13 @@ def _unit_count(n_units) -> int:
     return int(n_units)
 
 
+def _transmissivity(t: float) -> float:
+    """``t`` itself when it lies strictly in (0, 1); otherwise ValueError."""
+    if not 0.0 < t < 1.0:
+        raise ValueError("transmissivity must lie strictly in (0, 1)")
+    return t
+
+
 @dataclass(frozen=True)
 class NlaSpec:
     """Amplifier family, number of units N and internal transmissivity T."""
@@ -56,8 +65,7 @@ class NlaSpec:
         if self.kind not in VALID_KINDS:
             raise ValueError(f"kind must be one of {VALID_KINDS}")
         object.__setattr__(self, "n_units", _unit_count(self.n_units))
-        if not 0.0 < self.transmissivity < 1.0:
-            raise ValueError("transmissivity must lie strictly in (0, 1)")
+        _transmissivity(self.transmissivity)
 
 
 @dataclass(frozen=True)
@@ -71,9 +79,7 @@ class AmplifyResult:
 
 def qs_gain(transmissivity: float) -> float:
     """Amplitude gain sqrt((1-T)/T) of the quantum-scissors amplifier."""
-    t = transmissivity
-    if not 0.0 < t < 1.0:
-        raise ValueError("transmissivity must lie strictly in (0, 1)")
+    t = _transmissivity(transmissivity)
     return math.sqrt((1.0 - t) / t)
 
 
@@ -83,9 +89,7 @@ def pc_gain(transmissivity: float) -> float:
     Exceeds 1 (true amplification) only for T < 1/4; the heralded target is
     the phase-flipped coherent state |-g alpha>.
     """
-    t = transmissivity
-    if not 0.0 < t < 1.0:
-        raise ValueError("transmissivity must lie strictly in (0, 1)")
+    t = _transmissivity(transmissivity)
     return (1.0 - 2.0 * t) / math.sqrt(t)
 
 
@@ -113,9 +117,7 @@ def qs_nla_diagonal(n_units: int, transmissivity: float,
     combinatorial factor is evaluated with exact integers.
     """
     n_units = _unit_count(n_units)
-    t = transmissivity
-    if not 0.0 < t < 1.0:
-        raise ValueError("transmissivity must lie strictly in (0, 1)")
+    t = _transmissivity(transmissivity)
     coeffs = np.zeros(n_max + 1)
     for n in range(min(n_units, n_max) + 1):
         # sqrt(T)^N g^n = T^((N-n)/2) (1-T)^(n/2)
@@ -145,9 +147,7 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     literal /N^n.
     """
     n_units = _unit_count(n_units)
-    t = transmissivity
-    if not 0.0 < t < 1.0:
-        raise ValueError("transmissivity must lie strictly in (0, 1)")
+    t = _transmissivity(transmissivity)
     m, two_e = t.as_integer_ratio()
     q, mn = m - two_e, m * n_units
     tops = range(min(n_units, n_max) + 1)
@@ -167,22 +167,12 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     return DiagonalOperator(coeffs)
 
 
-def single_pc_diagonal(transmissivity: float, n_max: int) -> DiagonalOperator:
-    """One catalysis unit: d_n = sqrt(T) (1 - n (1-T)/T) sqrt(T)^n."""
-    t = transmissivity
-    if not 0.0 < t < 1.0:
-        raise ValueError("transmissivity must lie strictly in (0, 1)")
-    n = np.arange(n_max + 1)
-    return DiagonalOperator(
-        math.sqrt(t) * (1.0 - n * (1.0 - t) / t) * math.sqrt(t) ** n)
-
-
 def cascaded_pc_diagonal(n_units: int, transmissivity: float,
                          n_max: int) -> DiagonalOperator:
-    """N catalysis units in series: the single-unit diagonal raised to N."""
+    """N catalysis units in series: the one-unit diagonal raised to N."""
     n_units = _unit_count(n_units)
-    single = single_pc_diagonal(transmissivity, n_max)
-    return DiagonalOperator(single.coeffs ** n_units)
+    unit = pc_nla_diagonal(1, transmissivity, n_max)
+    return DiagonalOperator(unit.coeffs ** n_units)
 
 
 def nla_diagonal(spec: NlaSpec, n_max: int) -> DiagonalOperator:
@@ -192,6 +182,21 @@ def nla_diagonal(spec: NlaSpec, n_max: int) -> DiagonalOperator:
     if spec.kind == "PC":
         return pc_nla_diagonal(spec.n_units, spec.transmissivity, n_max)
     return cascaded_pc_diagonal(spec.n_units, spec.transmissivity, n_max)
+
+
+def _passive_diagonal(spec: NlaSpec, n_max: int) -> DiagonalOperator:
+    """What the amplifier circuit does to modes it was not aimed at.
+
+    The scissors herald passes only their vacuum.  The parallel catalysis
+    circuit attenuates them by sqrt(T) per photon whatever N is, and a
+    cascade by that unit attenuator to the N-th power.
+    """
+    if spec.kind == "QS":
+        return vacuum_projection_diagonal(n_max)
+    unit = attenuator_diagonal(spec.transmissivity, n_max)
+    if spec.kind == "PC":
+        return unit
+    return DiagonalOperator(unit.coeffs ** spec.n_units)
 
 
 def fidelity_to_coherent(state: PureStateVector, beta: complex) -> float:

@@ -29,16 +29,15 @@ import math
 
 import numpy as np
 
-from .fock import BeamSplitterUnitary, beam_splitter_unitary
+from .fock import beam_splitter_unitary
 
 
-def _apply_pair_unitary(state, x: int, y: int,
-                        bs: BeamSplitterUnitary):
+def _apply_pair_unitary(state, x: int, y: int, bs: tuple):
     """Beam-splitter action on modes (x, y) of an occupation-dict state."""
     out: dict = {}
     for occ, amp in state.items():
         s = occ[x] + occ[y]
-        col = bs.block(s)[:, occ[y]]
+        col = bs[s][:, occ[y]]
         for j in range(s + 1):
             c = col[j]
             if c == 0.0:

@@ -105,7 +105,7 @@ def test_criterion_03_pc_circuit_vs_diagonal():
         worst = 0.0
         for t in T_GRID:
             got = oracle.pc_circuit_operator(t, 6)
-            want = np.diag(nla.single_pc_diagonal(t, 6).coeffs)
+            want = np.diag(nla.pc_nla_diagonal(1, t, 6).coeffs)
             worst = max(worst, float(np.abs(got - want).max()))
     ok = worst < 1e-10 and tm.elapsed < 5
     line = report(3, ok, f"catalysis circuit vs diagonal, max dev "
@@ -335,7 +335,7 @@ def test_criterion_12_channel_sanity():
             worst = max(worst, float(np.abs(total - np.eye(13)).max()))
         bs = fock.beam_splitter_unitary(0.37, 10)
         for s in range(11):
-            b = bs.block(s)
+            b = bs[s]
             worst = max(worst, float(np.abs(b @ b.T - np.eye(s + 1)).max()))
     ok = worst < 1e-12 and tm.elapsed < 5
     line = report(12, ok, f"loss trace preservation + beam-splitter "

@@ -257,6 +257,31 @@ def test_vanished_herald_gives_exit_2(tmp_path, capsys, experiment, payload):
     assert "numerical guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, payload", [
+    ("distill", {"scenario": 2, "r1_db": 3.0, "attenuations_db": [3],
+                 "kinds": ["CascadedPC"], "n_units": [100], "n_max": 12}),
+    ("sweep", {"scenario": 2, "r1_db": 3.0, "attenuation_db": 3,
+               "kind": "CascadedPC", "n_units": 100, "n_max": 12}),
+], ids=["distill", "sweep"])
+def test_long_cascade_runs_where_t_to_the_n_underflows(tmp_path, capsys,
+                                                      experiment, payload):
+    # T^N is 0.0 at t_min 1e-4 for N >= 81; the bystanders' attenuation is
+    # the unit attenuator to the N-th power, which never asks for T^N
+    path = write_config(tmp_path, payload)
+    assert main([experiment, "--config", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "CascadedPC" in out
+
+
+def test_catalysis_sum_overflow_gives_exit_2(tmp_path, capsys):
+    # at T 1e-300 the two-unit catalysis sum exceeds the float range
+    path = write_config(tmp_path, {**AMPLIFY_MIN, "kinds": ["PC"],
+                                   "n_units": [2],
+                                   "optimizer": {"t_min": 1e-300}})
+    assert main(["amplify", "--config", path, "--workers", "1"]) == 2
+    assert "numerical guard" in capsys.readouterr().err
+
+
 def test_unknown_key_gives_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, {"attenuations_db": [0.0], "zzz": 1})
     assert main(["distill", "--config", path]) == 1

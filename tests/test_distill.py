@@ -433,10 +433,14 @@ def cascade_compare(r, n_units, n_max):
 
 
 def test_cascade_compare_single_unit_arrangements_coincide():
-    par, cas = cascade_compare(0.3, 1, 18)
-    assert par.total_logneg == pytest.approx(cas.total_logneg, abs=1e-12)
-    assert par.success_prob == pytest.approx(cas.success_prob, abs=1e-12)
-    assert par.optimal_t == cas.optimal_t
+    # one unit in series is one unit in parallel: the same circuit, and the
+    # cascade is built from the parallel unit, so the numbers are equal;
+    # the second point is the cascade-compare default (r_db 3, n_max 20)
+    for r, n_max in ((0.3, 18), (squeezing_from_db(3.0), 20)):
+        par, cas = cascade_compare(r, 1, n_max)
+        assert par.total_logneg == cas.total_logneg
+        assert par.success_prob == cas.success_prob
+        assert par.optimal_t == cas.optimal_t
 
 
 def test_cascade_compare_two_units_tradeoff():

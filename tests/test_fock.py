@@ -103,14 +103,14 @@ def test_tmsv_density_is_projector_like():
 def test_beam_splitter_blocks_orthogonal():
     bs = beam_splitter_unitary(0.36, 6)
     for s in range(7):
-        b = bs.block(s)
+        b = bs[s]
         assert b.shape == (s + 1, s + 1)
         assert np.abs(b @ b.T - np.eye(s + 1)).max() < 1e-13
 
 
 def test_beam_splitter_single_photon_block():
     # one photon splits with amplitudes (sqrt(T), sqrt(1-T))
-    b = beam_splitter_unitary(0.36, 2).block(1)
+    b = beam_splitter_unitary(0.36, 2)[1]
     assert abs(abs(b[0, 0]) - 0.6) < 1e-14
     assert abs(abs(b[0, 1]) - 0.8) < 1e-14
     assert np.linalg.det(b) == pytest.approx(1.0, abs=1e-14)
@@ -137,7 +137,7 @@ def expm_beam_splitter_block(transmissivity, s):
 def test_beam_splitter_blocks_match_expm_reference(t):
     bs = beam_splitter_unitary(t, 30)
     for s in range(31):
-        b = bs.block(s)
+        b = bs[s]
         assert np.abs(b - expm_beam_splitter_block(t, s)).max() < 1e-12
         assert np.abs(b @ b.T - np.eye(s + 1)).max() < 1e-13
 
@@ -149,7 +149,7 @@ def test_beam_splitter_rejects_degenerate_transmissivity():
     # near-transparent limit approaches the identity
     bs = beam_splitter_unitary(1.0 - 1e-10, 4)
     for s in range(5):
-        assert np.abs(bs.block(s) - np.eye(s + 1)).max() < 1e-4
+        assert np.abs(bs[s] - np.eye(s + 1)).max() < 1e-4
 
 
 # ---------------------------------------------------------------------------

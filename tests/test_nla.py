@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlasim.fock import TruncationError, coherent_state
-from nlasim.nla import (AmplifyResult, NlaSpec, amplify_coherent,
-                        cascaded_pc_diagonal, equal_gain_transmissivity,
-                        fidelity_to_coherent, nla_diagonal, pc_gain,
-                        pc_nla_diagonal, qs_gain, qs_nla_diagonal)
+from nlasim.fock import TruncationError, attenuator_diagonal, coherent_state
+from nlasim.nla import (AmplifyResult, NlaSpec, _passive_diagonal,
+                        amplify_coherent, cascaded_pc_diagonal,
+                        equal_gain_transmissivity, fidelity_to_coherent,
+                        nla_diagonal, pc_gain, pc_nla_diagonal, qs_gain,
+                        qs_nla_diagonal)
 
 
 def test_spec_validation():
@@ -183,6 +184,48 @@ def test_diagonals_bitwise_equal_fraction_reference(n_units, t, n_max):
         _bytes_or_overflow(lambda: fraction_pc_diagonal(n_units, t, n_max))
     assert qs_nla_diagonal(n_units, t, n_max).coeffs.tobytes() == \
         fraction_qs_diagonal(n_units, t, n_max).tobytes()
+
+
+# an independent float reference for the exact unit: the closed form
+# d_n = sqrt(T) (1 - n (1-T)/T) sqrt(T)^n, which cancels near n = T/(1-T)
+def float_pc_unit_diagonal(t, n_max):
+    n = np.arange(n_max + 1)
+    return math.sqrt(t) * (1.0 - n * (1.0 - t) / t) * math.sqrt(t) ** n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(t=st.floats(1e-300, 1.0, exclude_max=True))
+@example(t=0.204675351213916)
+@example(t=1.0 - 2.0 ** -53)
+def test_exact_unit_within_rounding_of_float_formula(t):
+    # the float formula's error is a few ulps of its largest term,
+    # sqrt(T)^(n+1) (1 + n (1-T)/T); compared where sqrt(T)^(n+1) is normal
+    n_max = 200
+    exact = pc_nla_diagonal(1, t, n_max).coeffs
+    n = np.arange(n_max + 1)
+    root = math.sqrt(t) ** (n + 1)
+    normal = root >= np.finfo(float).tiny
+    scale = root * (1.0 + n * (1.0 - t) / t)
+    dev = np.abs(float_pc_unit_diagonal(t, n_max) - exact)
+    assert np.all(dev[normal] <= 4 * np.finfo(float).eps * scale[normal])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n_units=st.integers(1, 400), t=TRANSMISSIVITIES,
+       n_max=st.integers(0, 60))
+@example(n_units=100, t=1e-4, n_max=12)
+@example(n_units=3, t=5e-324, n_max=4)
+def test_cascade_is_the_unit_to_the_nth_power(n_units, t, n_max):
+    # target and bystanders alike: the exact unit raised to N, bitwise
+    assert _bytes_or_overflow(
+        lambda: cascaded_pc_diagonal(n_units, t, n_max).coeffs) == \
+        _bytes_or_overflow(
+            lambda: pc_nla_diagonal(1, t, n_max).coeffs ** n_units)
+    spec = NlaSpec("CascadedPC", n_units, t)
+    bystander = _passive_diagonal(spec, n_max).coeffs
+    assert bystander.tobytes() == \
+        (attenuator_diagonal(t, n_max).coeffs ** n_units).tobytes()
+    assert bystander[0] == 1.0
 
 
 def test_pc_diagonal_analytic_zero_is_exact():
