@@ -53,8 +53,8 @@ import numpy as np
 
 from . import fock, nla, oracle
 from .distill import (DEFAULT_DECAY, DEFAULT_SUPERMODES, DistillScenario,
-                      PdcSpec, apply_strategy, lossy_pdc_densities,
-                      reference_no_nla)
+                      PdcSpec, _gaussian_log_negativities, _log_negativities,
+                      apply_strategy, lossy_pdc_densities, reference_no_nla)
 from .fock import (ChannelSpec, NormalizationError, TruncationError,
                    squeezing_from_db)
 from .nla import VALID_KINDS, NlaSpec
@@ -421,6 +421,17 @@ def _dev_tmsv_logneg():
     yield reference_no_nla(lossy).total_logneg - 2 * r / math.log(2)
 
 
+def _dev_lossy_tmsv_logneg():
+    # an attenuated lossy TMSV, as unfiltered catalysis leaves a bystander:
+    # closed form against the graded kernel, whose tail is below round-off
+    for eta in (0.1, 0.5, 1.0):
+        lossy = lossy_pdc_densities(PdcSpec(np.ones(1), 0.5), eta, 40)
+        for t in (0.05, 0.3, 0.9):
+            amp = lossy * fock.attenuator_diagonal(t, 40).coeffs
+            amp /= np.linalg.norm(amp)
+            yield _gaussian_log_negativities(amp) - _log_negativities(amp)
+
+
 VERIFY_CHECKS = (
     ("pc_diagonal_multinomial", 1e-10, _dev_pc_multinomial),
     ("pc_circuit_diagonal", 1e-10, _dev_pc_circuit),
@@ -431,6 +442,7 @@ VERIFY_CHECKS = (
     ("beam_splitter_unitary", 1e-12, _dev_beam_splitter),
     ("loss_trace_preserving", 1e-12, _dev_loss_channel),
     ("tmsv_log_negativity", 1e-8, _dev_tmsv_logneg),
+    ("lossy_tmsv_log_negativity", 1e-12, _dev_lossy_tmsv_logneg),
 )
 
 

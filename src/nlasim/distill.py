@@ -8,7 +8,10 @@ untouched; without one (``unfiltered``) the amplifier circuit acts on them
 too, as :mod:`nlasim.nla` says for each amplifier kind.
 
 The figure of merit is the summed logarithmic negativity over supermodes and
-the joint success probability of all heralds involved.
+the joint success probability of all heralds involved.  Every supermode is
+scored on its truncated amplitudes, except the unfiltered bystanders: the
+catalysis circuit only attenuates them, so each stays a lossy two-mode
+squeezed vacuum, a Gaussian state scored in closed form.
 """
 
 from __future__ import annotations
@@ -174,6 +177,48 @@ def _log_negativities(amp: np.ndarray) -> np.ndarray:
     return lognegs
 
 
+def _gaussian_log_negativities(amp: np.ndarray) -> np.ndarray:
+    """Log-negativity of each lossy-TMSV slice of the stack, at n_max -> inf.
+
+    A lossy TMSV (r, eta) whose arm B is then attenuated by sqrt(T) per
+    photon is the lossy TMSV (r', eta') with x = tanh(r')^2 =
+    tanh(r)^2 (1 - eta + eta T) and eta' = eta T / (1 - eta + eta T), and
+    its truncated amplitudes are exactly those of (r', eta').  So both are
+    read off the 2x2 corner of a slice: x = (a10^2 + a11^2) / a00^2 and
+    eta' = a11^2 / (a10^2 + a11^2).
+
+    The state is Gaussian, with covariance blocks a I, b I and c Z (vacuum
+    variance 1): a = cosh 2r', b = eta' a + 1 - eta', c = sqrt(eta') sinh 2r'.
+    Its log-negativity is -log2 nu, nu the smaller symplectic eigenvalue of
+    the partial transpose (Vidal & Werner, PRA 65, 032314 (2002); Adesso &
+    Illuminati, J. Phys. A 40, 7821 (2007)):
+    nu = 2 (ab - c^2) / ((a + b) + sqrt((a - b)^2 + 4 c^2)).  In x and eta'
+    that is nu = num / (num + gap), with num = 1 + x (1 - 2 eta') and
+    gap = root + tilt, root = sqrt(x ((1 - eta')^2 x + 4 eta')) and
+    tilt = x (3 eta' - 1).  For tilt < 0, gap is taken as
+    4 eta' x num / (root - tilt), since root^2 - tilt^2 = 4 eta' x num; so
+    nothing cancels, and log2(1 + gap / num) keeps its relative precision
+    for a nearly product state too.  A slice with a11 = 0 has arm B in
+    vacuum or cut off by the channel, and scores exactly +0.0.
+
+    The truncated state differs from this limit by its tail: the graded
+    kernel is within 2 (2/ln 2) tanh(r')^(n_max+1) / (1 - tanh r') of it.
+    """
+    a00, a10, a11 = amp[:, 0, 0] ** 2, amp[:, 1, 0] ** 2, amp[:, 1, 1] ** 2
+    lognegs = np.zeros(amp.shape[0])
+    live = a11 > 0.0
+    moved = a10[live] + a11[live]
+    x = moved / a00[live]
+    eta = a11[live] / moved
+    num = 1.0 + x * (1.0 - 2.0 * eta)
+    root = np.sqrt(x * ((1.0 - eta) ** 2 * x + 4.0 * eta))
+    tilt = x * (3.0 * eta - 1.0)
+    gap = np.where(tilt >= 0.0, root + tilt,
+                   4.0 * eta * x * num / (root - tilt))
+    lognegs[live] = np.log1p(gap / num) / math.log(2.0)
+    return lognegs
+
+
 def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
                    strategy: Strategy = "unfiltered",
                    amplified_index: int = 1) -> DistillResult:
@@ -183,16 +228,22 @@ def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
     the (channel-dependent, T-independent) loss step from the amplifier lets
     T-optimisation reuse it.  A Fock-diagonal operator on arm B scales the
     columns of a supermode's amplitudes, and the herald probability is the
-    sum of their squares.
+    sum of their squares.  The amplified supermode and the filtered
+    bystanders are scored on their truncated amplitudes; the unfiltered
+    bystanders, which the circuit attenuates or vacuum-projects, in closed
+    form (:func:`_gaussian_log_negativities`).
     """
     k_modes, dim, _ = lossy.shape
     target = amplified_index - 1
     coeffs = np.ones((k_modes, dim))
+    bystanders = np.zeros(k_modes, dtype=bool)
     if strategy == "filtered":
         heralded = [target]
     else:
         heralded = range(k_modes)
         coeffs[:] = _passive_diagonal(nla, dim - 1).coeffs
+        bystanders[:] = True
+        bystanders[target] = False
     coeffs[target] = nla_diagonal(nla, dim - 1).coeffs
     acted = lossy * coeffs[:, None, :]
     prob = 1.0
@@ -206,7 +257,9 @@ def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
         pops = acted[i] ** 2
         guard_truncation(pops.sum(axis=1), what=f"supermode {i + 1} arm A")
         guard_truncation(pops.sum(axis=0), what=f"supermode {i + 1} arm B")
-    lognegs = _log_negativities(acted)
+    lognegs = np.empty(k_modes)
+    lognegs[bystanders] = _gaussian_log_negativities(acted[bystanders])
+    lognegs[~bystanders] = _log_negativities(acted[~bystanders])
     return DistillResult(lognegs, float(lognegs.sum()), prob)
 
 

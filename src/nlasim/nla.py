@@ -139,7 +139,8 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     J <= N, and each numerator is evaluated in nested form,
     w_J[0] + n (w_J[1] + (n-1) (w_J[2] + ...)), which is the same integer.
     Python's int/int division rounds that rational once, correctly, so
-    analytic zeros are exact zeros.
+    analytic zeros are exact zeros.  A quotient past the float range (T
+    near 0) raises OverflowError naming N and T.
 
     The 1/N^n of the (p/N)^j and permutation factors is the splitter
     fan-out normalisation; it is pinned against the explicit path
@@ -163,7 +164,12 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
         num = w[top]
         for j in range(top - 1, -1, -1):
             num = w[j] + (n - j) * num
-        coeffs[n] = root_t ** (n_units + n) * (num / mn_pow[top])
+        try:
+            coeffs[n] = root_t ** (n_units + n) * (num / mn_pow[top])
+        except OverflowError as exc:
+            raise OverflowError(
+                f"catalysis sum with N={n_units} units at T={t:.6g} exceeds "
+                f"the float range at n={n}") from exc
     return DiagonalOperator(coeffs)
 
 

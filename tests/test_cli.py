@@ -279,7 +279,10 @@ def test_catalysis_sum_overflow_gives_exit_2(tmp_path, capsys):
                                    "n_units": [2],
                                    "optimizer": {"t_min": 1e-300}})
     assert main(["amplify", "--config", path, "--workers", "1"]) == 2
-    assert "numerical guard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical guard" in err
+    # the message names the unit count, not just Python's division error
+    assert "N=2" in err and "integer division" not in err
 
 
 def test_unknown_key_gives_exit_1(tmp_path, capsys):
@@ -462,6 +465,16 @@ def test_verify_detects_failure_in_last_case(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL nsplitter_unitary" in out
     assert "FAIL loss_trace_preserving" in out
+
+
+def test_verify_detects_wrong_gaussian_log_negativity(monkeypatch, capsys):
+    true_fn = cli._gaussian_log_negativities
+    monkeypatch.setattr(cli, "_gaussian_log_negativities",
+                        lambda amp: true_fn(amp) * (1 + 1e-9))
+    assert main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL lossy_tmsv_log_negativity" in out
+    assert "9/10 checks passed" in out
 
 
 def test_verify_subset_of_checks(tmp_path, capsys):

@@ -9,14 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlasim
-from nlasim.distill import (DistillScenario, PdcSpec, _log_negativities,
+from nlasim.distill import (DistillScenario, PdcSpec,
+                            _gaussian_log_negativities, _log_negativities,
                             apply_strategy, lossy_pdc_densities,
                             reference_no_nla, scenario_lambdas)
 from nlasim.fock import (BipartiteDensity, ChannelSpec, TruncationError,
                          apply_diagonal, apply_loss, attenuator_diagonal,
                          guard_truncation, log_negativity, squeezing_from_db,
                          tmsv_density, tmsv_schmidt,
-                         vacuum_projection_diagonal)
+                         transmissivity_from_db, vacuum_projection_diagonal)
 from nlasim.nla import VALID_KINDS, NlaSpec, nla_diagonal
 from nlasim.optimize import maximize_total_logneg
 
@@ -75,6 +76,12 @@ def graded_density(amp):
         v[n, n - lost] = amp[n, n - lost]
         matrix += np.outer(v.ravel(), v.ravel())
     return matrix
+
+
+def gaussian_tail_bound(tau, n_max):
+    """How far the graded kernel on a lossy TMSV truncated at n_max may sit
+    from its closed form, tau = tanh r' of the attenuated state."""
+    return 2 * (2 / math.log(2)) * tau ** (n_max + 1) / (1 - tau)
 
 
 def padded_log_negativities(amp):
@@ -230,6 +237,38 @@ def test_support_cut_kernel_matches_padded_kernel(d_a, d_b, kinds, seed):
         assert abs(_log_negativities(amp[k:k + 1])[0] - got[k]) <= 1e-13
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(r_db=st.floats(0.5, 8.0), n_max=st.integers(4, 40),
+       channel_db=st.floats(0.0, 30.0), t=st.floats(0.01, 1.0))
+@example(r_db=8.0, n_max=4, channel_db=0.0, t=1.0)
+@example(r_db=8.0, n_max=40, channel_db=30.0, t=0.01)
+@example(r_db=0.5, n_max=4, channel_db=0.0, t=0.01)
+def test_gaussian_bystander_within_truncation_tail(r_db, n_max, channel_db, t):
+    # an attenuated lossy TMSV slice, as unfiltered catalysis leaves a
+    # bystander: the closed form is the graded kernel's n_max -> inf limit
+    r, eta = squeezing_from_db(r_db), transmissivity_from_db(channel_db)
+    lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), eta, n_max,
+                                tail_tol=1.0)
+    amp = lossy * attenuator_diagonal(t, n_max).coeffs
+    amp /= np.linalg.norm(amp)
+    tau = math.tanh(r) * math.sqrt(1 - eta + eta * t)
+    got = _gaussian_log_negativities(amp)[0]
+    assert got > 0.0
+    assert abs(_log_negativities(amp)[0] - got) <= \
+        gaussian_tail_bound(tau, n_max) + 1e-13
+
+
+def test_gaussian_scores_product_slices_exactly_zero():
+    # arm B in vacuum: a vacuum supermode, a channel that loses every photon
+    # and a scissors bystander all score +0.0
+    pdc = PdcSpec(np.array([0.6, 0.8, 0.0]), 0.5)
+    lossy = lossy_pdc_densities(pdc, 0.0, N_MAX)
+    projected = lossy_pdc_densities(pdc, 0.5, N_MAX) \
+        * vacuum_projection_diagonal(N_MAX).coeffs
+    got = _gaussian_log_negativities(np.concatenate([lossy, projected]))
+    assert np.all(got == 0.0) and not np.signbit(got).any()
+
+
 def test_eigensolve_covers_only_entangleable_support(monkeypatch):
     shapes = []
     eigvalsh = np.linalg.eigvalsh
@@ -248,10 +287,15 @@ def test_eigensolve_covers_only_entangleable_support(monkeypatch):
     reference_no_nla(lossy)
     assert shapes == [(1, 41, 21, 21)]
     shapes.clear()
-    # five equal supermodes: every slice keeps its full width
+    # five equal supermodes: unfiltered catalysis eigensolves only the
+    # amplified slice and scores the four attenuated bystanders in closed
+    # form; filtered, every slice keeps its full width
     flat = lossy_pdc_densities(PdcSpec.from_scenario(3, 5.0), ChannelSpec(5.0),
                                N_MAX)
     apply_strategy(flat, NlaSpec("PC", 2, 0.1))
+    assert shapes == [(1, 41, 21, 21)]
+    shapes.clear()
+    apply_strategy(flat, NlaSpec("PC", 2, 0.1), "filtered")
     assert shapes == [(5, 41, 21, 21)]
     shapes.clear()
     # an all-vacuum source needs no eigensolve at all
@@ -364,13 +408,24 @@ def test_graded_path_matches_dense_reference(scenario, r1_db, k_modes,
         return
     lossy = lossy_pdc_densities(pdc, channel, N_SMALL)
     got = apply_strategy(lossy, nla, strategy, amplified_index)
-    assert np.abs(got.per_supermode_logneg - want).max() <= 1e-13
-    assert abs(got.total_logneg - want.sum()) <= 1e-13
+    # unfiltered catalysis bystanders are scored in the n_max -> inf limit,
+    # which the truncated dense state reaches up to its tail; every other
+    # slice is scored on the truncated amplitudes, as the dense reference
+    target = amplified_index - 1
+    tail = np.zeros(k_modes)
+    if strategy == "unfiltered" and kind != "QS":
+        eta = channel.eta if isinstance(channel, ChannelSpec) else channel
+        stages = n_units if kind == "CascadedPC" else 1
+        tail = gaussian_tail_bound(
+            np.tanh(pdc.squeezings) * np.sqrt(1 - eta + eta * t ** stages),
+            N_SMALL)
+        tail[target] = 0.0
+    assert np.all(np.abs(got.per_supermode_logneg - want) <= 1e-13 + tail)
+    assert abs(got.total_logneg - want.sum()) <= 1e-13 + tail.sum()
     assert abs(got.success_prob - want_prob) <= 1e-13 * want_prob
     assert 0.0 < got.success_prob <= 1.0
     # a vacuum bystander scores exactly 0 and multiplies the herald
     # probability by exactly 1: dropping it changes no bit
-    target = amplified_index - 1
     keep = (pdc.squeezings != 0) | (np.arange(k_modes) == target)
     assert np.all(got.per_supermode_logneg[~keep] == 0.0)
     without = apply_strategy(lossy[keep], nla, strategy,
