@@ -207,6 +207,8 @@ def _gaussian_log_negativities(amp: np.ndarray) -> np.ndarray:
     a00, a10, a11 = amp[:, 0, 0] ** 2, amp[:, 1, 0] ** 2, amp[:, 1, 1] ** 2
     lognegs = np.zeros(amp.shape[0])
     live = a11 > 0.0
+    if not live.any():
+        return lognegs
     moved = a10[live] + a11[live]
     x = moved / a00[live]
     eta = a11[live] / moved
