@@ -46,7 +46,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -287,6 +286,8 @@ def _fan_out(worker, tasks, n_workers):
     n_workers = max(1, min(n_workers, len(tasks)))
     if n_workers == 1:
         return [worker(*task) for task in tasks]
+    # imported only for a pool, so serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(worker, *zip(*tasks), chunksize=1))
 

@@ -86,7 +86,7 @@ class PureStateVector:
         amps = np.ascontiguousarray(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("amps must be a non-empty 1-d array")
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps.view(float)).all():
             raise ValueError("amps must be finite")
         nsq = float(np.vdot(amps, amps).real)
         if nsq > 1.0 + 1e-12:
@@ -112,7 +112,7 @@ class DiagonalOperator:
         coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ValueError("coeffs must be a non-empty 1-d array")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("coeffs must be finite")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)

@@ -14,10 +14,10 @@ Fock basis once the ancilla and detection pattern are fixed:
 The alternating sums in the parallel-catalysis coefficients are formed as one
 exact integer numerator over one integer denominator and rounded once, so no
 catastrophic cancellation occurs anywhere in the supported parameter range.
-The integer weights of each sum are formed once per diagonal and each
-numerator is evaluated in nested (Horner) form over the falling factorial
-n(n-1)...(n-j+1), so no binomial, permutation or power is recomputed per
-Fock index.
+All numerators share one denominator and march up the Fock index from the
+forward differences of the sum at n = 0, by integer additions alone, so no
+integer product is formed per Fock index.  Each quotient is the same
+rational as that of the per-n sum, so it rounds to the same float.
 """
 
 from __future__ import annotations
@@ -133,14 +133,17 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
 
     d_n = sqrt(T)^(N+n) * sum_j C(N,j) n!/(n-j)! (p/N)^j with p = (T-1)/T.
     The binary float T is exactly M/2^e, so p/N = q/(M N) with q = M - 2^e,
-    and the alternating sum over j <= J = min(N, n) is the exact integer
-    sum_j w_J[j] n!/(n-j)! over (M N)^J, with integer weights
-    w_J[j] = C(N,j) q^j (M N)^(J-j).  The weights are formed once for each
-    J <= N, and each numerator is evaluated in nested form,
-    w_J[0] + n (w_J[1] + (n-1) (w_J[2] + ...)), which is the same integer.
-    Python's int/int division rounds that rational once, correctly, so
-    analytic zeros are exact zeros.  A quotient past the float range (T
-    near 0) raises OverflowError naming N and T.
+    and with top = min(N, n_max) the alternating sum is the exact integer
+    P(n) = sum_{j <= top} w_j n!/(n-j)! over the one denominator (M N)^top,
+    with integer weights w_j = C(N,j) q^j (M N)^(top-j).  Terms with j > n
+    vanish, so for n < top this is the sum over j <= n written over
+    (M N)^n, scaled top and bottom by (M N)^(top-n): the same rational.
+    The k-th forward difference of P at n = 0 is k! w_k, so the numerators
+    P(0), P(1), ... follow from those top + 1 integers by additions alone.
+    Python's int/int division rounds a rational once, correctly, whatever
+    denominator it is written over, so every float is that of the n-term
+    sum and analytic zeros are exact zeros.  A quotient past the float
+    range (T near 0) raises OverflowError naming N, T and n.
 
     The 1/N^n of the (p/N)^j and permutation factors is the splitter
     fan-out normalisation; it is pinned against the explicit path
@@ -151,26 +154,25 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     t = _transmissivity(transmissivity)
     m, two_e = t.as_integer_ratio()
     q, mn = m - two_e, m * n_units
-    tops = range(min(n_units, n_max) + 1)
-    q_pow = [q ** j for j in tops]
-    mn_pow = [mn ** k for k in tops]
-    weights = [[math.comb(n_units, j) * q_pow[j] * mn_pow[top - j]
-                for j in range(top + 1)] for top in tops]
+    top = min(n_units, n_max)
+    diffs = [math.perm(n_units, k) * q ** k * mn ** (top - k)
+             for k in range(top + 1)]
+    nums = []
+    for _ in range(n_max + 1):
+        nums.append(diffs[0])
+        for k in range(top):
+            diffs[k] += diffs[k + 1]
+    den = mn ** top
     root_t = math.sqrt(t)
-    coeffs = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        top = min(n_units, n)
-        w = weights[top]
-        num = w[top]
-        for j in range(top - 1, -1, -1):
-            num = w[j] + (n - j) * num
-        try:
-            coeffs[n] = root_t ** (n_units + n) * (num / mn_pow[top])
-        except OverflowError as exc:
-            raise OverflowError(
-                f"catalysis sum with N={n_units} units at T={t:.6g} exceeds "
-                f"the float range at n={n}") from exc
-    return DiagonalOperator(coeffs)
+    coeffs = []
+    try:
+        for n, num in enumerate(nums):
+            coeffs.append(root_t ** (n_units + n) * (num / den))
+    except OverflowError as exc:
+        raise OverflowError(
+            f"catalysis sum with N={n_units} units at T={t:.6g} exceeds "
+            f"the float range at n={len(coeffs)}") from exc
+    return DiagonalOperator(np.array(coeffs, dtype=float))
 
 
 def cascaded_pc_diagonal(n_units: int, transmissivity: float,
@@ -220,20 +222,28 @@ def _target_sign(spec: NlaSpec) -> float:
     return (-1.0) ** spec.n_units
 
 
-def _herald(diag: DiagonalOperator,
-            psi: PureStateVector) -> tuple[PureStateVector, float]:
-    """Heralded output of ``diag`` on ``psi``, normalised, and its probability.
+def _herald(coeffs: np.ndarray,
+            amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """Heralded output amplitudes of ``coeffs`` on ``amps``, normalised, and
+    the herald probability.
 
-    Raises NormalizationError when the herald has zero probability, then
+    Checks what PureStateVector would, then the top bin: NormalizationError
+    when the herald has zero probability, ValueError for non-finite
+    amplitudes, NormalizationError for a squared norm past 1, then
     TruncationError when the output's top Fock bin is populated.
     """
-    unnorm = diag.coeffs * psi.amps
+    unnorm = coeffs * amps
     prob = float(np.vdot(unnorm, unnorm).real)
     if prob <= 0.0:
         raise NormalizationError(
             "herald has zero probability at these parameters")
-    out = PureStateVector(unnorm / math.sqrt(prob))
-    guard_truncation(out.populations(), what="amplified state")
+    out = unnorm / math.sqrt(prob)
+    if not np.isfinite(out.view(float)).all():
+        raise ValueError("amps must be finite")
+    nsq = float(np.vdot(out, out).real)
+    if nsq > 1.0 + 1e-12:
+        raise NormalizationError(f"squared norm {nsq} exceeds 1")
+    guard_truncation(np.abs(out) ** 2, what="amplified state")
     return out, prob
 
 
@@ -247,7 +257,8 @@ def amplify_coherent(alpha: complex, spec: NlaSpec, n_max: int = 30,
     (+g alpha for QS, -g alpha for PC, (-1)^N g alpha for the cascade).
     """
     psi = coherent_state(alpha, n_max)
-    out, prob = _herald(nla_diagonal(spec, n_max), psi)
+    amps, prob = _herald(nla_diagonal(spec, n_max).coeffs, psi.amps)
+    out = PureStateVector(amps)
     fid = None
     if target_gain is not None:
         beta = _target_sign(spec) * target_gain * alpha

@@ -106,7 +106,7 @@ def max_fidelity_profile(alpha: complex, target_gain: float, kind: str,
         spec = NlaSpec(kind, n_units, t)
         if psi is None:
             psi = coherent_state(alpha, n_max)
-        return (spec, *_herald(nla_diagonal(spec, n_max), psi))
+        return (spec, *_herald(nla_diagonal(spec, n_max).coeffs, psi.amps))
 
     def objective(t: float) -> float:
         nonlocal target
@@ -114,8 +114,8 @@ def max_fidelity_profile(alpha: complex, target_gain: float, kind: str,
         if target is None:
             # the sign depends on kind and N only, not on T
             target = coherent_state(_target_sign(spec) * target_gain * alpha,
-                                    out.n_max)
-        return float(abs(np.vdot(target.amps, out.amps)) ** 2)
+                                    out.size - 1)
+        return float(abs(np.vdot(target.amps, out)) ** 2)
 
     t_star, f_star = maximize_over_T(objective, config)
     *_, prob = herald(t_star)

@@ -30,15 +30,28 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy serves the tests alone
+def _loaded_after_cli_import(prefixes):
+    """Modules under ``prefixes`` that a fresh ``import nlasim.cli`` loads."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = ("import sys, nlasim.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            f"print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] in {tuple(prefixes)!r}))")
     done = subprocess.run([sys.executable, "-c", code], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    assert _loaded_after_cli_import(["scipy"]) == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # a serial run never starts a pool, so it pays no multiprocessing import;
+    # --workers 2 still fans out (test_distill_deterministic_across_workers)
+    assert _loaded_after_cli_import(
+        ["multiprocessing", "subprocess", "socket", "concurrent"]) == "[]"
 
 
 # ---------------------------------------------------------------------------
