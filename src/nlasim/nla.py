@@ -157,22 +157,19 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     top = min(n_units, n_max)
     diffs = [math.perm(n_units, k) * q ** k * mn ** (top - k)
              for k in range(top + 1)]
-    nums = []
-    for _ in range(n_max + 1):
-        nums.append(diffs[0])
-        for k in range(top):
-            diffs[k] += diffs[k + 1]
     den = mn ** top
     root_t = math.sqrt(t)
     coeffs = []
     try:
-        for n, num in enumerate(nums):
-            coeffs.append(root_t ** (n_units + n) * (num / den))
+        for n in range(n_max + 1):
+            coeffs.append(root_t ** (n_units + n) * (diffs[0] / den))
+            for k in range(top):
+                diffs[k] += diffs[k + 1]
     except OverflowError as exc:
         raise OverflowError(
             f"catalysis sum with N={n_units} units at T={t:.6g} exceeds "
-            f"the float range at n={len(coeffs)}") from exc
-    return DiagonalOperator(np.array(coeffs, dtype=float))
+            f"the float range at n={n}") from exc
+    return DiagonalOperator(np.array(coeffs))
 
 
 def cascaded_pc_diagonal(n_units: int, transmissivity: float,

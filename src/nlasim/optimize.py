@@ -114,7 +114,7 @@ def max_fidelity_profile(alpha: complex, target_gain: float, kind: str,
         if target is None:
             # the sign depends on kind and N only, not on T
             target = coherent_state(_target_sign(spec) * target_gain * alpha,
-                                    out.size - 1)
+                                    n_max)
         return float(abs(np.vdot(target.amps, out)) ** 2)
 
     t_star, f_star = maximize_over_T(objective, config)
