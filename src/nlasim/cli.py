@@ -355,7 +355,7 @@ def run_sweep(p: dict):
 def _dev_pc_multinomial():
     for n_units in (1, 2, 3):
         for t in (0.1, 0.5, 0.9):
-            coeffs = nla.pc_nla_diagonal(n_units, t, 8).coeffs
+            coeffs = nla.pc_nla_diagonal(n_units, t, 8)
             for n in range(9):
                 yield coeffs[n] - oracle.pc_nla_multinomial(n_units, t, n)
 
@@ -363,7 +363,7 @@ def _dev_pc_multinomial():
 def _dev_pc_circuit():
     for t in (0.2, 0.5, 0.8):
         yield (oracle.pc_circuit_operator(t, 6)
-               - np.diag(nla.pc_nla_diagonal(1, t, 6).coeffs))
+               - np.diag(nla.pc_nla_diagonal(1, t, 6)))
 
 
 def _dev_qs_circuit():
@@ -394,7 +394,7 @@ def _dev_qs_splitter():
         for t in (0.25, 0.6):
             got = oracle.qs_nla_splitter_circuit(n_units, t, n_units)
             got = got * 2 ** (n_units / 2)  # documented fan-out convention
-            want = np.diag(nla.qs_nla_diagonal(n_units, t, n_units).coeffs)
+            want = np.diag(nla.qs_nla_diagonal(n_units, t, n_units))
             yield got - want
 
 
@@ -428,7 +428,7 @@ def _dev_lossy_tmsv_logneg():
     for eta in (0.1, 0.5, 1.0):
         lossy = lossy_pdc_densities(PdcSpec(np.ones(1), 0.5), eta, 40)
         for t in (0.05, 0.3, 0.9):
-            amp = lossy * fock.attenuator_diagonal(t, 40).coeffs
+            amp = lossy * fock.attenuator_diagonal(t, 40)
             amp /= np.linalg.norm(amp)
             yield _gaussian_log_negativities(amp) - _log_negativities(amp)
 

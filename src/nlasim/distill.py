@@ -100,6 +100,14 @@ class PdcSpec:
         return cls(lam, r1 / lam[0])
 
 
+def _check_receiver(strategy, amplified_index: int, k_modes: int) -> None:
+    """ValueError unless the strategy is known and 1 <= index <= K."""
+    if strategy not in ("unfiltered", "filtered"):
+        raise ValueError("strategy must be 'unfiltered' or 'filtered'")
+    if not 1 <= amplified_index <= k_modes:
+        raise ValueError("amplified_index must lie in [1, K]")
+
+
 @dataclass(frozen=True)
 class DistillScenario:
     """Source, channel, amplifier and receiver strategy for one distill run."""
@@ -111,10 +119,7 @@ class DistillScenario:
     amplified_index: int = 1
 
     def __post_init__(self):
-        if self.strategy not in ("unfiltered", "filtered"):
-            raise ValueError("strategy must be 'unfiltered' or 'filtered'")
-        if not 1 <= self.amplified_index <= self.pdc.k_modes:
-            raise ValueError("amplified_index must lie in [1, K]")
+        _check_receiver(self.strategy, self.amplified_index, self.pdc.k_modes)
 
 
 @dataclass(frozen=True)
@@ -233,9 +238,11 @@ def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
     sum of their squares.  The amplified supermode and the filtered
     bystanders are scored on their truncated amplitudes; the unfiltered
     bystanders, which the circuit attenuates or vacuum-projects, in closed
-    form (:func:`_gaussian_log_negativities`).
+    form (:func:`_gaussian_log_negativities`).  An unknown strategy or an
+    index outside [1, K] raises ValueError, as in :class:`DistillScenario`.
     """
     k_modes, dim, _ = lossy.shape
+    _check_receiver(strategy, amplified_index, k_modes)
     target = amplified_index - 1
     coeffs = np.ones((k_modes, dim))
     bystanders = np.zeros(k_modes, dtype=bool)
@@ -243,10 +250,10 @@ def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
         heralded = [target]
     else:
         heralded = range(k_modes)
-        coeffs[:] = _passive_diagonal(nla, dim - 1).coeffs
+        coeffs[:] = _passive_diagonal(nla, dim - 1)
         bystanders[:] = True
         bystanders[target] = False
-    coeffs[target] = nla_diagonal(nla, dim - 1).coeffs
+    coeffs[target] = nla_diagonal(nla, dim - 1)
     acted = lossy * coeffs[:, None, :]
     prob = 1.0
     for i in heralded:

@@ -8,7 +8,8 @@ distillation kernel of :mod:`nlasim.distill` is tested against.
 Conventions
 -----------
 * Photon-number amplitudes are indexed ``n = 0 .. n_max`` (length
-  ``n_max + 1`` arrays).
+  ``n_max + 1`` arrays).  A Fock-diagonal operator is the same kind of
+  array: the float coefficients d_0 .. d_n_max of D = sum_n d_n |n><n|.
 * Sub-normalised states and densities carry their heralding probability in
   the squared norm / trace; nothing is renormalised implicitly.
 * Bipartite quantities live on the product basis ``|n>_A |m>_B`` flattened
@@ -102,38 +103,18 @@ class PureStateVector:
         return np.abs(self.amps) ** 2
 
 
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Operator diagonal in the Fock basis, stored as its coefficient vector."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coeffs must be a non-empty 1-d array")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("coeffs must be finite")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def n_max(self) -> int:
-        return self.coeffs.size - 1
-
-
-def vacuum_projection_diagonal(n_max: int) -> DiagonalOperator:
+def vacuum_projection_diagonal(n_max: int) -> np.ndarray:
     coeffs = np.zeros(n_max + 1)
     coeffs[0] = 1.0
-    return DiagonalOperator(coeffs)
+    return coeffs
 
 
-def attenuator_diagonal(transmissivity: float, n_max: int) -> DiagonalOperator:
+def attenuator_diagonal(transmissivity: float, n_max: int) -> np.ndarray:
     """Noiseless attenuator sqrt(T)^(photon number): coefficients sqrt(T)^n."""
     if not 0.0 < transmissivity <= 1.0:
         raise ValueError("transmissivity must lie in (0, 1]")
     n = np.arange(n_max + 1)
-    return DiagonalOperator(math.sqrt(transmissivity) ** n)
+    return math.sqrt(transmissivity) ** n
 
 
 @dataclass(frozen=True)
@@ -335,15 +316,15 @@ def apply_loss(rho: BipartiteDensity, arm: Arm,
 
 
 def apply_diagonal(rho: BipartiteDensity, arm: Arm,
-                   op: DiagonalOperator) -> BipartiteDensity:
+                   coeffs: np.ndarray) -> BipartiteDensity:
     """Sandwich D rho D^dag with a Fock-diagonal operator on one arm.
 
     The result keeps the (generally reduced) post-selection trace.
     """
-    if op.n_max < rho.n_max:
-        raise ValueError("diagonal operator is shorter than the density arm")
-    dvec = op.coeffs[:rho.arm_dim]
     d = rho.arm_dim
+    if coeffs.size < d:
+        raise ValueError("diagonal operator is shorter than the density arm")
+    dvec = coeffs[:d]
     t = rho.matrix.reshape(d, d, d, d)
     if arm == "B":
         out = t * dvec[None, :, None, None] * dvec[None, None, None, :]

@@ -1,7 +1,8 @@
 """Closed-form noiseless-linear-amplifier operators and coherent-state runs.
 
 Two heralded amplifier families are covered, each acting diagonally in the
-Fock basis once the ancilla and detection pattern are fixed:
+Fock basis once the ancilla and detection pattern are fixed, so each
+operator is the 1-d float array of its coefficients d_0 .. d_n_max:
 
 * quantum scissors (QS): N two-level scissors units between a symmetric
   N-splitter pair; amplitude gain g = sqrt((1-T)/T), output support
@@ -28,8 +29,8 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import (DiagonalOperator, NormalizationError, PureStateVector,
-                   attenuator_diagonal, coherent_state, guard_truncation,
+from .fock import (NormalizationError, PureStateVector, attenuator_diagonal,
+                   coherent_state, guard_truncation,
                    vacuum_projection_diagonal)
 
 NlaKind = Literal["QS", "PC", "CascadedPC"]
@@ -97,20 +98,23 @@ def equal_gain_transmissivity(kind: str, gain: float) -> float:
     """Transmissivity at which the given amplifier reaches amplitude ``gain``.
 
     For QS this inverts g = sqrt((1-T)/T); for PC it takes the smaller root
-    of 4 T^2 - (4 + g^2) T + 1 = 0, which lies in (0, 1/4) for g > 1.
+    of 4 T^2 - (4 + g^2) T + 1 = 0, which lies in (0, 1/4) for g > 1, as
+    2/(4 + g^2 + g sqrt(g^2 + 8)): no subtraction, so no cancellation at
+    any gain.  A gain that is not positive and finite, or whose T rounds
+    out of (0, 1), is a ValueError.
     """
-    if gain <= 0.0:
-        raise ValueError("gain must be positive")
+    if not 0.0 < gain < math.inf:
+        raise ValueError("gain must be positive and finite")
     if kind == "QS":
-        return 1.0 / (1.0 + gain * gain)
+        return _transmissivity(1.0 / (1.0 + gain * gain))
     if kind in ("PC", "CascadedPC"):
-        b = 4.0 + gain * gain
-        return (b - math.sqrt(b * b - 16.0)) / 8.0
+        return _transmissivity(
+            2.0 / (4.0 + gain * gain + gain * math.sqrt(gain * gain + 8.0)))
     raise ValueError(f"kind must be one of {VALID_KINDS}")
 
 
 def qs_nla_diagonal(n_units: int, transmissivity: float,
-                    n_max: int) -> DiagonalOperator:
+                    n_max: int) -> np.ndarray:
     """Fock coefficients of the N-unit parallel quantum-scissors amplifier.
 
     d_n = sqrt(T)^N * N!/((N-n)! N^n) * g^n for n <= N and zero above; the
@@ -118,17 +122,15 @@ def qs_nla_diagonal(n_units: int, transmissivity: float,
     """
     n_units = _unit_count(n_units)
     t = _transmissivity(transmissivity)
-    coeffs = np.zeros(n_max + 1)
-    for n in range(min(n_units, n_max) + 1):
-        # sqrt(T)^N g^n = T^((N-n)/2) (1-T)^(n/2)
-        coeffs[n] = math.perm(n_units, n) / n_units ** n \
-            * t ** ((n_units - n) / 2.0) \
-            * (1.0 - t) ** (n / 2.0)
-    return DiagonalOperator(coeffs)
+    # sqrt(T)^N g^n = T^((N-n)/2) (1-T)^(n/2)
+    coeffs = [math.perm(n_units, n) / n_units ** n
+              * t ** ((n_units - n) / 2.0) * (1.0 - t) ** (n / 2.0)
+              for n in range(min(n_units, n_max) + 1)]
+    return np.array(coeffs + [0.0] * (n_max - n_units))
 
 
 def pc_nla_diagonal(n_units: int, transmissivity: float,
-                    n_max: int) -> DiagonalOperator:
+                    n_max: int) -> np.ndarray:
     """Fock coefficients of the N-unit parallel photon-catalysis amplifier.
 
     d_n = sqrt(T)^(N+n) * sum_j C(N,j) n!/(n-j)! (p/N)^j with p = (T-1)/T.
@@ -143,7 +145,9 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     Python's int/int division rounds a rational once, correctly, whatever
     denominator it is written over, so every float is that of the n-term
     sum and analytic zeros are exact zeros.  A quotient past the float
-    range (T near 0) raises OverflowError naming N, T and n.
+    range (T near 0) raises OverflowError naming N, T and n.  Below T ~ 1e-16
+    the rounded powers of sqrt(T) carry the one-unit d_1 = 2T - 1 an ulp
+    past -1, so the result is clipped to the exact bound |d_n| <= 1.
 
     The 1/N^n of the (p/N)^j and permutation factors is the splitter
     fan-out normalisation; it is pinned against the explicit path
@@ -169,27 +173,21 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
         raise OverflowError(
             f"catalysis sum with N={n_units} units at T={t:.6g} exceeds "
             f"the float range at n={n}") from exc
-    return DiagonalOperator(np.array(coeffs))
+    coeffs = np.array(coeffs)
+    return np.clip(coeffs, -1.0, 1.0, out=coeffs)
 
 
-def cascaded_pc_diagonal(n_units: int, transmissivity: float,
-                         n_max: int) -> DiagonalOperator:
-    """N catalysis units in series: the one-unit diagonal raised to N."""
-    n_units = _unit_count(n_units)
-    unit = pc_nla_diagonal(1, transmissivity, n_max)
-    return DiagonalOperator(unit.coeffs ** n_units)
-
-
-def nla_diagonal(spec: NlaSpec, n_max: int) -> DiagonalOperator:
-    """Dispatch the closed-form diagonal for an amplifier specification."""
+def nla_diagonal(spec: NlaSpec, n_max: int) -> np.ndarray:
+    """Closed-form diagonal for an amplifier specification; N catalysis
+    units in series are the one-unit diagonal raised to N."""
     if spec.kind == "QS":
         return qs_nla_diagonal(spec.n_units, spec.transmissivity, n_max)
     if spec.kind == "PC":
         return pc_nla_diagonal(spec.n_units, spec.transmissivity, n_max)
-    return cascaded_pc_diagonal(spec.n_units, spec.transmissivity, n_max)
+    return pc_nla_diagonal(1, spec.transmissivity, n_max) ** spec.n_units
 
 
-def _passive_diagonal(spec: NlaSpec, n_max: int) -> DiagonalOperator:
+def _passive_diagonal(spec: NlaSpec, n_max: int) -> np.ndarray:
     """What the amplifier circuit does to modes it was not aimed at.
 
     The scissors herald passes only their vacuum.  The parallel catalysis
@@ -201,7 +199,7 @@ def _passive_diagonal(spec: NlaSpec, n_max: int) -> DiagonalOperator:
     unit = attenuator_diagonal(spec.transmissivity, n_max)
     if spec.kind == "PC":
         return unit
-    return DiagonalOperator(unit.coeffs ** spec.n_units)
+    return unit ** spec.n_units
 
 
 def fidelity_to_coherent(state: PureStateVector, beta: complex) -> float:
@@ -254,7 +252,7 @@ def amplify_coherent(alpha: complex, spec: NlaSpec, n_max: int = 30,
     (+g alpha for QS, -g alpha for PC, (-1)^N g alpha for the cascade).
     """
     psi = coherent_state(alpha, n_max)
-    amps, prob = _herald(nla_diagonal(spec, n_max).coeffs, psi.amps)
+    amps, prob = _herald(nla_diagonal(spec, n_max), psi.amps)
     out = PureStateVector(amps)
     fid = None
     if target_gain is not None:

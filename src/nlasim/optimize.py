@@ -106,7 +106,7 @@ def max_fidelity_profile(alpha: complex, target_gain: float, kind: str,
         spec = NlaSpec(kind, n_units, t)
         if psi is None:
             psi = coherent_state(alpha, n_max)
-        return (spec, *_herald(nla_diagonal(spec, n_max).coeffs, psi.amps))
+        return (spec, *_herald(nla_diagonal(spec, n_max), psi.amps))
 
     def objective(t: float) -> float:
         nonlocal target

@@ -53,7 +53,7 @@ def test_criterion_01_pc_diagonal_vs_multinomial():
         worst_zero = 0.0
         for n_units in (1, 2, 3):
             for t in T_GRID:
-                coeffs = nla.pc_nla_diagonal(n_units, t, 8).coeffs
+                coeffs = nla.pc_nla_diagonal(n_units, t, 8)
                 for n in range(9):
                     ref = oracle.pc_nla_multinomial(n_units, t, n)
                     scale = max(abs(ref), abs(coeffs[n]))
@@ -105,7 +105,7 @@ def test_criterion_03_pc_circuit_vs_diagonal():
         worst = 0.0
         for t in T_GRID:
             got = oracle.pc_circuit_operator(t, 6)
-            want = np.diag(nla.pc_nla_diagonal(1, t, 6).coeffs)
+            want = np.diag(nla.pc_nla_diagonal(1, t, 6))
             worst = max(worst, float(np.abs(got - want).max()))
     ok = worst < 1e-10 and tm.elapsed < 5
     line = report(3, ok, f"catalysis circuit vs diagonal, max dev "
@@ -123,7 +123,7 @@ def test_criterion_04_qs_splitter_circuit():
             for t in (0.25, 0.5, 0.75):
                 got = oracle.qs_nla_splitter_circuit(n_units, t, n_units + 2)
                 want = np.diag(nla.qs_nla_diagonal(n_units, t,
-                                                   n_units + 2).coeffs)
+                                                   n_units + 2))
                 # circuit carries a 2^(-N/2) herald-normalization factor
                 dev = np.abs(got * 2 ** (n_units / 2) - want).max()
                 worst = max(worst, float(dev))

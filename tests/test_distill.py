@@ -207,7 +207,7 @@ def random_slice(kind, d_a, d_b, rng):
         amp = rng.normal(size=(d_a, d_b))
         if kind == "interior_zero":
             # the catalysis diagonal with N 2, T 1/2 is exactly 0 at n 1
-            amp *= nla_diagonal(NlaSpec("PC", 2, 0.5), d_b - 1).coeffs
+            amp *= nla_diagonal(NlaSpec("PC", 2, 0.5), d_b - 1)
     norm = np.linalg.norm(amp)
     return amp / norm if norm > 0.0 else amp
 
@@ -249,7 +249,7 @@ def test_gaussian_bystander_within_truncation_tail(r_db, n_max, channel_db, t):
     r, eta = squeezing_from_db(r_db), transmissivity_from_db(channel_db)
     lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), eta, n_max,
                                 tail_tol=1.0)
-    amp = lossy * attenuator_diagonal(t, n_max).coeffs
+    amp = lossy * attenuator_diagonal(t, n_max)
     amp /= np.linalg.norm(amp)
     tau = math.tanh(r) * math.sqrt(1 - eta + eta * t)
     got = _gaussian_log_negativities(amp)[0]
@@ -264,7 +264,7 @@ def test_gaussian_scores_product_slices_exactly_zero():
     pdc = PdcSpec(np.array([0.6, 0.8, 0.0]), 0.5)
     lossy = lossy_pdc_densities(pdc, 0.0, N_MAX)
     projected = lossy_pdc_densities(pdc, 0.5, N_MAX) \
-        * vacuum_projection_diagonal(N_MAX).coeffs
+        * vacuum_projection_diagonal(N_MAX)
     got = _gaussian_log_negativities(np.concatenate([lossy, projected]))
     assert np.all(got == 0.0) and not np.signbit(got).any()
 
@@ -371,7 +371,7 @@ def test_single_supermode_lossless_catalysis_matches_pure_state_form():
     got = {}
     for t in (0.03, 0.08, 0.2, 0.5):
         nla = NlaSpec("PC", 2, t)
-        a = c * nla_diagonal(nla, N_MAX).coeffs
+        a = c * nla_diagonal(nla, N_MAX)
         want = 2 * math.log2(np.abs(a).sum() / np.linalg.norm(a))
         got[t] = apply_strategy(lossy, nla).total_logneg
         assert abs(got[t] - want) <= 1e-12
@@ -454,6 +454,22 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         DistillScenario(pdc, ChannelSpec(5.0), NlaSpec("QS", 1, 0.5),
                         "unfiltered", amplified_index=6)
+
+
+@pytest.mark.parametrize("strategy, amplified_index, message", (
+    # at K = 3, index 0 used to amplify supermode 3 (row -1), index 4 to
+    # raise a bare IndexError and "Filtered" to run the unfiltered receiver
+    ("unfiltered", 0, "amplified_index must lie in"),
+    ("unfiltered", 4, "amplified_index must lie in"),
+    ("Filtered", 1, "strategy must be"),
+))
+def test_apply_strategy_validates_receiver(strategy, amplified_index,
+                                           message):
+    lossy = lossy_pdc_densities(PdcSpec.from_scenario(2, 4.0, k_modes=3),
+                                1.0, N_MAX)
+    with pytest.raises(ValueError, match=message):
+        apply_strategy(lossy, NlaSpec("PC", 1, 0.15), strategy,
+                       amplified_index)
 
 
 def test_truncation_guard_on_source():

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlasim import fock
-from nlasim.fock import (BipartiteDensity, ChannelSpec, DiagonalOperator,
-                         NormalizationError, PureStateVector, TruncationError,
-                         apply_diagonal, apply_loss, attenuator_diagonal,
+from nlasim.fock import (BipartiteDensity, ChannelSpec, NormalizationError,
+                         PureStateVector, TruncationError, apply_diagonal,
+                         apply_loss, attenuator_diagonal,
                          beam_splitter_unitary, coherent_state,
                          log_negativity, loss_kraus_operators, negativity,
                          partial_transpose, squeezing_from_db,
@@ -201,19 +201,20 @@ def test_apply_diagonal_matches_dense_conjugation():
     d = 12
     rho = BipartiteDensity(random_density(d * d), trace_value=1.0)
     coeffs = rng.normal(size=d)
-    op = DiagonalOperator(coeffs)
-    out = apply_diagonal(rho, "B", op)
+    out = apply_diagonal(rho, "B", coeffs)
     dense = np.kron(np.eye(d), np.diag(coeffs))
     want = dense @ rho.matrix @ dense.conj().T
     assert np.abs(out.matrix - want).max() < 1e-12
+    with pytest.raises(ValueError, match="shorter than the density arm"):
+        apply_diagonal(rho, "B", coeffs[:-1])
 
 
 def test_attenuator_and_vacuum_projection():
     att = attenuator_diagonal(0.49, 5)
-    assert np.allclose(att.coeffs, 0.7 ** np.arange(6), atol=1e-14)
+    assert np.allclose(att, 0.7 ** np.arange(6), atol=1e-14)
     proj = vacuum_projection_diagonal(5)
-    assert proj.coeffs[0] == 1.0
-    assert np.all(proj.coeffs[1:] == 0.0)
+    assert proj[0] == 1.0
+    assert np.all(proj[1:] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from nlasim.fock import (NormalizationError, TruncationError,
                          attenuator_diagonal, coherent_state)
 from nlasim.nla import (VALID_KINDS, AmplifyResult, NlaSpec,
                         _passive_diagonal, amplify_coherent,
-                        cascaded_pc_diagonal, equal_gain_transmissivity,
-                        fidelity_to_coherent, nla_diagonal, pc_gain,
-                        pc_nla_diagonal, qs_gain, qs_nla_diagonal)
+                        equal_gain_transmissivity, fidelity_to_coherent,
+                        nla_diagonal, pc_gain, pc_nla_diagonal, qs_gain,
+                        qs_nla_diagonal)
 
 
 def test_spec_validation():
@@ -34,17 +34,17 @@ def test_unit_count_must_be_an_integer():
     for bad in (2.5, 2.0, True, np.bool_(True), "2"):
         with pytest.raises(ValueError):
             NlaSpec("CascadedPC", bad, 0.2)
-        for build in (qs_nla_diagonal, pc_nla_diagonal, cascaded_pc_diagonal):
+        for build in (qs_nla_diagonal, pc_nla_diagonal):
             with pytest.raises(ValueError):
                 build(bad, 0.2, 6)
     # numpy integers are counted as Python ints: in int64 the powers of M N
     # in the exact catalysis sum would overflow silently
-    want = pc_nla_diagonal(8, 0.3, 30).coeffs
+    want = pc_nla_diagonal(8, 0.3, 30)
     for good in (np.int64(8), np.uint8(8)):
         spec = NlaSpec("PC", good, 0.3)
         assert type(spec.n_units) is int and spec.n_units == 8
-        assert np.array_equal(nla_diagonal(spec, 30).coeffs, want)
-        assert np.array_equal(pc_nla_diagonal(good, 0.3, 30).coeffs, want)
+        assert np.array_equal(nla_diagonal(spec, 30), want)
+        assert np.array_equal(pc_nla_diagonal(good, 0.3, 30), want)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_gains():
     assert pc_gain(0.25) == pytest.approx(1.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("g", (0.8, 1.0, 1.2, 1.6, 2.0, 3.0))
+@pytest.mark.parametrize("g", (0.8, 1.0, 1.2, 1.6, 2.0, 3.0, 100.0, 1e4, 1e6))
 def test_equal_gain_roundtrip(g):
     ts = equal_gain_transmissivity("QS", g)
     assert qs_gain(ts) == pytest.approx(g, rel=1e-12)
@@ -92,8 +92,15 @@ def test_equal_gain_scissors_exact_arithmetic():
 def test_equal_gain_unknown_kind():
     with pytest.raises(ValueError):
         equal_gain_transmissivity("XX", 2.0)
+    for kind in VALID_KINDS:
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                equal_gain_transmissivity(kind, bad)
+    # gains whose T rounds to 1 or underflows to 0
     with pytest.raises(ValueError):
-        equal_gain_transmissivity("QS", 0.0)
+        equal_gain_transmissivity("QS", 1e-9)
+    with pytest.raises(ValueError):
+        equal_gain_transmissivity("PC", 1e160)
     # a cascade stage shares the catalysis gain relation
     assert equal_gain_transmissivity("CascadedPC", 2.0) == \
         equal_gain_transmissivity("PC", 2.0)
@@ -104,12 +111,14 @@ def test_equal_gain_unknown_kind():
 
 def test_nla_diagonal_dispatch():
     n_max = 6
+    # a cascade is the one-unit catalysis diagonal raised to N
     for kind, direct in (("QS", qs_nla_diagonal),
                          ("PC", pc_nla_diagonal),
-                         ("CascadedPC", cascaded_pc_diagonal)):
+                         ("CascadedPC",
+                          lambda n, t, m: pc_nla_diagonal(1, t, m) ** n)):
         spec = NlaSpec(kind, 2, 0.3)
-        got = nla_diagonal(spec, n_max).coeffs
-        want = direct(2, 0.3, n_max).coeffs
+        got = nla_diagonal(spec, n_max)
+        want = direct(2, 0.3, n_max)
         assert np.abs(got - want).max() == 0.0
 
 
@@ -117,7 +126,7 @@ def test_qs_diagonal_closed_form():
     # d_n = sqrt(T)^N N!/((N-n)! N^n) g^n with g = sqrt((1-T)/T)
     n_units, t = 3, 0.4
     g = math.sqrt((1 - t) / t)
-    d = qs_nla_diagonal(n_units, t, 5).coeffs
+    d = qs_nla_diagonal(n_units, t, 5)
     for n in range(4):
         want = (math.sqrt(t) ** n_units * math.factorial(n_units)
                 / math.factorial(n_units - n) / n_units ** n * g ** n)
@@ -129,13 +138,16 @@ def test_pc_diagonal_zeroth_coefficient():
     # vacuum passes every unit with amplitude sqrt(T)
     for n_units in (1, 2, 3):
         for t in (0.1, 0.5, 0.9):
-            d = pc_nla_diagonal(n_units, t, 2).coeffs
+            d = pc_nla_diagonal(n_units, t, 2)
             assert d[0] == pytest.approx(math.sqrt(t) ** n_units, rel=1e-14)
 
 
 # the literal slow references, beside the path enumeration of
 # oracle.pc_nla_multinomial: the alternating catalysis sum and the scissors
-# fan-out factor in exact Fractions, each rounded to float once at the end
+# fan-out factor in exact Fractions, each rounded to float once at the end.
+# pc_nla_diagonal also clips to [-1, 1]; that differs from this literal
+# form only where the form itself passes 1 (N = 1 below T ~ 1e-16, see
+# test_diagonals_are_finite_contractions)
 def fraction_pc_diagonal(n_units, t, n_max):
     p = (Fraction(t) - 1) / Fraction(t)
     coeffs = np.empty(n_max + 1)
@@ -181,9 +193,9 @@ TRANSMISSIVITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
 @example(n_units=12, t=1.0 - 2.0 ** -53, n_max=200)
 def test_diagonals_bitwise_equal_fraction_reference(n_units, t, n_max):
     assert _bytes_or_overflow(
-        lambda: pc_nla_diagonal(n_units, t, n_max).coeffs) == \
+        lambda: pc_nla_diagonal(n_units, t, n_max)) == \
         _bytes_or_overflow(lambda: fraction_pc_diagonal(n_units, t, n_max))
-    assert qs_nla_diagonal(n_units, t, n_max).coeffs.tobytes() == \
+    assert qs_nla_diagonal(n_units, t, n_max).tobytes() == \
         fraction_qs_diagonal(n_units, t, n_max).tobytes()
 
 
@@ -202,7 +214,7 @@ def test_exact_unit_within_rounding_of_float_formula(t):
     # the float formula's error is a few ulps of its largest term,
     # sqrt(T)^(n+1) (1 + n (1-T)/T); compared where sqrt(T)^(n+1) is normal
     n_max = 200
-    exact = pc_nla_diagonal(1, t, n_max).coeffs
+    exact = pc_nla_diagonal(1, t, n_max)
     n = np.arange(n_max + 1)
     root = math.sqrt(t) ** (n + 1)
     normal = root >= np.finfo(float).tiny
@@ -218,24 +230,47 @@ def test_exact_unit_within_rounding_of_float_formula(t):
 @example(n_units=3, t=5e-324, n_max=4)
 def test_cascade_is_the_unit_to_the_nth_power(n_units, t, n_max):
     # target and bystanders alike: the exact unit raised to N, bitwise
-    assert _bytes_or_overflow(
-        lambda: cascaded_pc_diagonal(n_units, t, n_max).coeffs) == \
-        _bytes_or_overflow(
-            lambda: pc_nla_diagonal(1, t, n_max).coeffs ** n_units)
     spec = NlaSpec("CascadedPC", n_units, t)
-    bystander = _passive_diagonal(spec, n_max).coeffs
+    assert _bytes_or_overflow(
+        lambda: nla_diagonal(spec, n_max)) == \
+        _bytes_or_overflow(
+            lambda: pc_nla_diagonal(1, t, n_max) ** n_units)
+    bystander = _passive_diagonal(spec, n_max)
     assert bystander.tobytes() == \
-        (attenuator_diagonal(t, n_max).coeffs ** n_units).tobytes()
+        (attenuator_diagonal(t, n_max) ** n_units).tobytes()
     assert bystander[0] == 1.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(VALID_KINDS), n_units=st.integers(1, 12),
+       t=TRANSMISSIVITIES, n_max=st.integers(0, 60))
+# the one-unit d_1 = 2T - 1 rounded an ulp past -1 here, and a cascade
+# raised that to the N-th power
+@example(kind="PC", n_units=1, t=4.061769944698415e-211, n_max=1)
+@example(kind="CascadedPC", n_units=12, t=3.104219771207159e-48, n_max=13)
+def test_diagonals_are_finite_contractions(kind, n_units, t, n_max):
+    # a heralded amplifier is a contraction: what it does to the amplified
+    # supermode and to the others is a finite diagonal with |d_n| <= 1,
+    # unless the catalysis sum leaves the float range
+    spec = NlaSpec(kind, n_units, t)
+    diagonals = [_passive_diagonal(spec, n_max)]
+    try:
+        diagonals.append(nla_diagonal(spec, n_max))
+    except OverflowError as exc:
+        assert kind != "QS" and str(exc).startswith("catalysis sum")
+    for d in diagonals:
+        assert d.shape == (n_max + 1,) and d.dtype == float
+        assert np.isfinite(d).all()
+        assert np.abs(d).max() <= 1.0
 
 
 def test_pc_diagonal_analytic_zero_is_exact():
     # N = 2, T = 1/2: d_1 = sqrt(T)^3 (1 + p) with p = -1
-    assert pc_nla_diagonal(2, 0.5, 3).coeffs[1] == 0.0
+    assert pc_nla_diagonal(2, 0.5, 3)[1] == 0.0
 
 
 def test_pc_diagonal_large_unit_count_stable():
-    d = pc_nla_diagonal(8, 0.13, 20).coeffs
+    d = pc_nla_diagonal(8, 0.13, 20)
     assert np.all(np.isfinite(d))
     assert np.abs(d).max() <= 1.0 + 1e-12
 

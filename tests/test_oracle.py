@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nlasim import oracle
-from nlasim.nla import (cascaded_pc_diagonal, pc_nla_diagonal,
+from nlasim.nla import (NlaSpec, nla_diagonal, pc_nla_diagonal,
                         qs_nla_diagonal)
 
 T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -77,7 +77,7 @@ def test_multimode_qs_blocks_orthogonal_photon():
 @pytest.mark.parametrize("t", T_GRID)
 def test_pc_circuit_matches_diagonal(t):
     got = oracle.pc_circuit_operator(t, 6)
-    want = np.diag(pc_nla_diagonal(1, t, 6).coeffs)
+    want = np.diag(pc_nla_diagonal(1, t, 6))
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -95,7 +95,7 @@ def test_pc_circuit_diagonal_formula():
 @pytest.mark.parametrize("n_units", (1, 2, 3))
 @pytest.mark.parametrize("t", T_GRID)
 def test_pc_multinomial_matches_closed_form(n_units, t):
-    coeffs = pc_nla_diagonal(n_units, t, 8).coeffs
+    coeffs = pc_nla_diagonal(n_units, t, 8)
     for n in range(9):
         ref = oracle.pc_nla_multinomial(n_units, t, n)
         assert coeffs[n] == pytest.approx(ref, rel=1e-12, abs=1e-14)
@@ -142,7 +142,7 @@ def test_nsplitter_two_paths_is_hadamard():
 @pytest.mark.parametrize("t", (0.25, 0.5, 0.75))
 def test_splitter_circuit_matches_formula(n_units, t):
     got = oracle.qs_nla_splitter_circuit(n_units, t, n_units)
-    want = np.diag(qs_nla_diagonal(n_units, t, n_units).coeffs)
+    want = np.diag(qs_nla_diagonal(n_units, t, n_units))
     # circuit carries a 2^(-N/2) herald-normalization factor
     assert np.abs(got * 2 ** (n_units / 2) - want).max() < 1e-10
 
@@ -156,7 +156,7 @@ def test_splitter_circuit_off_diagonal_free():
 def test_splitter_circuit_three_units():
     t = 0.5
     got = oracle.qs_nla_splitter_circuit(3, t, 3)
-    want = np.diag(qs_nla_diagonal(3, t, 3).coeffs)
+    want = np.diag(qs_nla_diagonal(3, t, 3))
     assert np.abs(got * 2 ** 1.5 - want).max() < 1e-9
 
 
@@ -164,29 +164,29 @@ def test_splitter_circuit_three_units():
 # closed-form diagonals as regression anchors
 
 def test_qs_diagonal_values():
-    d = qs_nla_diagonal(2, 0.2, 4).coeffs
+    d = qs_nla_diagonal(2, 0.2, 4)
     assert np.allclose(d, [0.2, 0.4, 0.4, 0.0, 0.0], atol=1e-14)
     # permutation factor truncates at n = N
-    d3 = qs_nla_diagonal(3, 0.5, 6).coeffs
+    d3 = qs_nla_diagonal(3, 0.5, 6)
     assert np.all(d3[4:] == 0.0)
 
 
 def test_pc_diagonal_values():
-    d = pc_nla_diagonal(1, 0.25, 4).coeffs
+    d = pc_nla_diagonal(1, 0.25, 4)
     assert np.allclose(d, [0.5, -0.5, -0.625, -0.5, -0.34375], atol=1e-14)
-    d2 = pc_nla_diagonal(2, 0.5, 4).coeffs
+    d2 = pc_nla_diagonal(2, 0.5, 4)
     assert d2[1] == pytest.approx(0.0, abs=1e-15)
     assert d2[2] == pytest.approx(-0.125, abs=1e-14)
 
 
 def test_cascaded_single_unit_equals_plain_pc():
-    a = cascaded_pc_diagonal(1, 0.35, 8).coeffs
-    b = pc_nla_diagonal(1, 0.35, 8).coeffs
+    a = nla_diagonal(NlaSpec("CascadedPC", 1, 0.35), 8)
+    b = pc_nla_diagonal(1, 0.35, 8)
     assert a.tobytes() == b.tobytes()
 
 
 def test_cascaded_is_elementwise_power():
     t = 0.3
-    single = pc_nla_diagonal(1, t, 6).coeffs
-    triple = cascaded_pc_diagonal(3, t, 6).coeffs
+    single = pc_nla_diagonal(1, t, 6)
+    triple = nla_diagonal(NlaSpec("CascadedPC", 3, t), 6)
     assert np.abs(triple - single ** 3).max() < 1e-14
