@@ -30,10 +30,13 @@ All keys but the grids have defaults, ``optimizer``'s from ``SweepConfig``:
      "attenuations_db": [0, 5, 10], "kinds": ["QS", "PC"], "n_units": [2],
      "strategy": "unfiltered", "amplified_index": 1}
 
-Grid evaluations are independent and fan out over a process pool; rows are
-emitted in sorted parameter order regardless of worker scheduling, and float
-cells use 17 significant digits, so identical configs give byte-identical
-output at any worker count.
+Independent tasks fan out over a process pool: one per row for ``distill``
+and ``cascade-compare``, one per (kind, N) group for ``amplify``, whose rows
+share that group's amplifier diagonals, so a config with fewer groups than
+workers uses fewer processes.  Rows are emitted in sorted parameter order
+regardless of worker scheduling, a failing run reports the first failing
+row in that order, and float cells use 17 significant digits, so identical
+configs give byte-identical output at any worker count.
 
 Exit codes: 0 success, 1 config/validation error or unwritable ``--out``,
 2 numerical-guard failure, 3 verification failure.
@@ -57,7 +60,8 @@ from .distill import (DEFAULT_DECAY, DEFAULT_SUPERMODES, DistillScenario,
 from .fock import (ChannelSpec, NormalizationError, TruncationError,
                    squeezing_from_db)
 from .nla import VALID_KINDS, NlaSpec
-from .optimize import SweepConfig, max_fidelity_profile, maximize_total_logneg
+from .optimize import (SweepConfig, max_fidelity_profiles,
+                       maximize_total_logneg)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -296,14 +300,22 @@ def _fan_out(worker, tasks, n_workers):
 # experiment runners: validated params in, (header, rows) out, rows sorted
 
 def run_amplify(p: dict):
-    grid = [(a, g, k, n) for a in p["alphas"] for g in p["target_gains"]
-            for n in p["n_units"] for k in p["kinds"]]
-    tasks = [(a, g, k, n, p["n_max"], p["optimizer"]) for a, g, k, n in grid]
-    results = _fan_out(max_fidelity_profile, tasks, p["workers"])
+    # one task per (kind, N) group, whose rows share its diagonals; rows come
+    # back alpha-major and are put in row order, which raises the first
+    # failing row's exception whatever the scheduling
+    groups = [(k, n) for n in p["n_units"] for k in p["kinds"]]
+    tasks = [(p["alphas"], p["target_gains"], k, n, p["n_max"],
+              p["optimizer"]) for k, n in groups]
+    results = _fan_out(max_fidelity_profiles, tasks, p["workers"])
     header = ["alpha", "target_gain", "kind", "n_units", "n_max",
               "optimal_t", "fidelity", "success_prob"]
-    rows = [[a, g, k, n, p["n_max"], t, f, pr]
-            for (a, g, k, n), (t, f, pr) in zip(grid, results)]
+    pairs = [(a, g) for a in p["alphas"] for g in p["target_gains"]]
+    rows = []
+    for (a, g), outcomes in zip(pairs, zip(*results)):
+        for (k, n), outcome in zip(groups, outcomes):
+            if isinstance(outcome, Exception):
+                raise outcome
+            rows.append([a, g, k, n, p["n_max"], *outcome])
     return header, rows
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fock import (ChannelSpec, NormalizationError, guard_truncation,
                    squeezing_from_db, tmsv_schmidt)
-from .nla import NlaSpec, _passive_diagonal, nla_diagonal
+from .nla import NlaSpec, _integer, _passive_diagonal, nla_diagonal
 
 Strategy = Literal["unfiltered", "filtered"]
 
@@ -101,10 +101,11 @@ class PdcSpec:
 
 
 def _check_receiver(strategy, amplified_index: int, k_modes: int) -> None:
-    """ValueError unless the strategy is known and 1 <= index <= K."""
+    """ValueError unless the strategy is known and the index is an integer
+    with 1 <= index <= K."""
     if strategy not in ("unfiltered", "filtered"):
         raise ValueError("strategy must be 'unfiltered' or 'filtered'")
-    if not 1 <= amplified_index <= k_modes:
+    if not 1 <= _integer(amplified_index, "amplified_index") <= k_modes:
         raise ValueError("amplified_index must lie in [1, K]")
 
 

@@ -38,13 +38,19 @@ NlaKind = Literal["QS", "PC", "CascadedPC"]
 VALID_KINDS = ("QS", "PC", "CascadedPC")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; bools and non-integers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _unit_count(n_units) -> int:
     """``n_units`` as a Python int >= 1; bools and non-integers are rejected."""
-    if isinstance(n_units, bool) or not isinstance(n_units, (int, np.integer)):
-        raise ValueError(f"n_units must be an integer, got {n_units!r}")
+    n_units = _integer(n_units, "n_units")
     if n_units < 1:
         raise ValueError("n_units must be >= 1")
-    return int(n_units)
+    return n_units
 
 
 def _transmissivity(t: float) -> float:

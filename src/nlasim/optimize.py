@@ -87,39 +87,77 @@ def maximize_over_T(objective, config: SweepConfig | None = None,
     return best_t, best_v
 
 
+def max_fidelity_profiles(alphas, target_gains, kind: str, n_units: int,
+                          n_max: int = 30,
+                          config: SweepConfig | None = None) -> list:
+    """:func:`max_fidelity_profile` for every (alpha, target gain) pair of one
+    amplifier kind and unit count, alpha-major.
+
+    Each row's outcome is its ``(t_star, fidelity_star, success_prob)`` or the
+    exception it raised, so a caller can report the first failure in its own
+    row order.  Within this one call every distinct T gets one diagonal, and
+    every distinct (alpha, T) one herald step, shared by the rows that reach
+    them; a row still makes its own evaluations in its own order, and a guard
+    that trips is not remembered, so each row gives the bits and the
+    exception it would give alone.  The guards trip in amplify_coherent's
+    order: the kind and N, the input tail, the herald probability, the
+    output top bin, the target tail.
+    """
+    diagonals = {}                      # T -> diagonal, for every row
+
+    def diagonal(t: float) -> np.ndarray:
+        if t not in diagonals:
+            diagonals[t] = nla_diagonal(NlaSpec(kind, n_units, t), n_max)
+        return diagonals[t]
+
+    outcomes = []
+    for alpha in alphas:
+        psi = None
+        heralds = {}                    # T -> (output amplitudes, prob)
+
+        def herald(t: float):
+            nonlocal psi
+            if t not in heralds:
+                if psi is None:
+                    psi = coherent_state(alpha, n_max)
+                heralds[t] = _herald(diagonal(t), psi.amps)
+            return heralds[t]
+
+        for gain in target_gains:
+            sign = target = None
+
+            def objective(t: float) -> float:
+                nonlocal sign, target
+                if sign is None:
+                    # the row's first T checks kind and N before any state
+                    sign = _target_sign(NlaSpec(kind, n_units, t))
+                out, _ = herald(t)
+                if target is None:
+                    target = coherent_state(sign * gain * alpha, n_max)
+                return float(abs(np.vdot(target.amps, out)) ** 2)
+
+            try:
+                t_star, f_star = maximize_over_T(objective, config)
+                outcomes.append((t_star, f_star, herald(t_star)[1]))
+            except Exception as exc:    # the row's outcome, not the group's
+                outcomes.append(exc)
+    return outcomes
+
+
 def max_fidelity_profile(alpha: complex, target_gain: float, kind: str,
                          n_units: int, n_max: int = 30,
                          config: SweepConfig | None = None):
     """T maximising the fidelity to the gain-``target_gain`` coherent target.
 
     Returns ``(t_star, fidelity_star, success_prob_at_t_star)``, the numbers
-    that maximising ``amplify_coherent(...).fidelity`` over T gives.  Only
-    the diagonal and the herald step depend on T: the input and the signed
-    target coherent states are built once, each when the first evaluation
-    reaches it, so the guards still trip in amplify_coherent's order (input
-    tail, herald probability, output top bin, target tail).
+    that maximising ``amplify_coherent(...).fidelity`` over T gives: the
+    one-row case of :func:`max_fidelity_profiles`, whose guard it raises.
     """
-    psi = target = None
-
-    def herald(t: float):
-        nonlocal psi
-        spec = NlaSpec(kind, n_units, t)
-        if psi is None:
-            psi = coherent_state(alpha, n_max)
-        return (spec, *_herald(nla_diagonal(spec, n_max), psi.amps))
-
-    def objective(t: float) -> float:
-        nonlocal target
-        spec, out, _ = herald(t)
-        if target is None:
-            # the sign depends on kind and N only, not on T
-            target = coherent_state(_target_sign(spec) * target_gain * alpha,
-                                    n_max)
-        return float(abs(np.vdot(target.amps, out)) ** 2)
-
-    t_star, f_star = maximize_over_T(objective, config)
-    *_, prob = herald(t_star)
-    return t_star, f_star, prob
+    (outcome,) = max_fidelity_profiles((alpha,), (target_gain,), kind,
+                                       n_units, n_max, config)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def maximize_total_logneg(scenario, lossy: np.ndarray,

@@ -367,3 +367,37 @@ def test_criterion_13_runner_determinism(tmp_path):
                           f"runs at 1 and 2 workers: {identical} "
                           f"({tm.elapsed:.1f} s)")
     assert ok, line
+
+
+def test_criterion_13_amplify_runner_determinism(tmp_path):
+    # two kinds x two N make four (kind, N) groups, the unit of amplify
+    # work, each sharing its diagonals over two alphas x two gains
+    payload = {"alphas": [0.3, 0.7], "target_gains": [1.2, 1.6],
+               "kinds": ["QS", "PC"], "n_units": [1, 3], "n_max": 20,
+               "optimizer": {"grid_points": 12, "refine_tolerance": 1e-4}}
+    cfg_path = tmp_path / "amplify.json"
+    cfg_path.write_text(json.dumps(payload))
+    sweep = SweepConfig(**payload["optimizer"])
+    with timer() as tm:
+        outputs = []
+        for workers in (1, 1, 2, 2):
+            out = tmp_path / f"run{len(outputs)}.csv"
+            code = cli_main(["amplify", "--config", str(cfg_path),
+                             "--out", str(out), "--workers", str(workers)])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        # each row as its own one-row search gives it (17 digits round-trip)
+        alone = [(a, g, k, n, *max_fidelity_profile(a, g, k, n,
+                                                    payload["n_max"], sweep))
+                 for a in payload["alphas"] for g in payload["target_gains"]
+                 for n in payload["n_units"] for k in payload["kinds"]]
+    identical = all(o == outputs[0] for o in outputs)
+    rows = [line.split(",") for line in outputs[0].decode().splitlines()[1:]]
+    as_alone = [(float(a), float(g), k, int(n), float(t), float(f),
+                 float(pr)) for a, g, k, n, _, t, f, pr in rows] == alone
+    ok = identical and as_alone and tm.elapsed < 60
+    line = report(13, ok, f"amplify outputs byte-identical over repeated "
+                          f"runs at 1 and 2 workers: {identical}, rows as "
+                          f"searched alone: {as_alone} "
+                          f"({tm.elapsed:.1f} s)")
+    assert ok, line

@@ -286,6 +286,22 @@ def test_long_cascade_runs_where_t_to_the_n_underflows(tmp_path, capsys,
     assert err == "" and "CascadedPC" in out
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_amplify_reports_the_first_failing_row(tmp_path, capsys, workers):
+    # rows run (alpha, gain, N, kind).  Every alpha-2.5 row fails its input
+    # tail at n_max 3, which is group (QS, 1)'s first failure; but row
+    # (0.05, 1.5, QS, 3), which fails on its top bin, precedes them all
+    path = write_config(tmp_path, {"alphas": [0.05, 2.5],
+                                   "target_gains": [1.5],
+                                   "kinds": ["QS", "PC"], "n_units": [1, 3],
+                                   "n_max": 3})
+    assert main(["amplify", "--config", path, "--workers", workers]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical guard: amplified state: top-bin "
+                          "population ")
+
+
 def test_catalysis_sum_overflow_gives_exit_2(tmp_path, capsys):
     # at T 1e-300 the two-unit catalysis sum exceeds the float range
     path = write_config(tmp_path, {**AMPLIFY_MIN, "kinds": ["PC"],

@@ -462,6 +462,11 @@ def test_scenario_validation():
     ("unfiltered", 0, "amplified_index must lie in"),
     ("unfiltered", 4, "amplified_index must lie in"),
     ("Filtered", 1, "strategy must be"),
+    # 1.5 used to pass the range check and fail as a bare IndexError, and
+    # True to amplify supermode 1
+    ("unfiltered", 1.5, "amplified_index must be an integer"),
+    ("filtered", True, "amplified_index must be an integer"),
+    ("unfiltered", 2.0, "amplified_index must be an integer"),
 ))
 def test_apply_strategy_validates_receiver(strategy, amplified_index,
                                            message):
@@ -470,6 +475,14 @@ def test_apply_strategy_validates_receiver(strategy, amplified_index,
     with pytest.raises(ValueError, match=message):
         apply_strategy(lossy, NlaSpec("PC", 1, 0.15), strategy,
                        amplified_index)
+
+
+@pytest.mark.parametrize("amplified_index", (1.5, True, False, 2.0, "1"))
+def test_scenario_rejects_non_integer_index(amplified_index):
+    # the same integer rule as the amplifier's unit count
+    with pytest.raises(ValueError, match="amplified_index must be an integer"):
+        DistillScenario(scenario1(), ChannelSpec(5.0), NlaSpec("QS", 1, 0.5),
+                        "unfiltered", amplified_index=amplified_index)
 
 
 def test_truncation_guard_on_source():

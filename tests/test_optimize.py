@@ -14,7 +14,8 @@ from nlasim import fock, nla, optimize
 from nlasim.fock import ChannelSpec, TruncationError, coherent_state
 from nlasim.nla import VALID_KINDS, NlaSpec, amplify_coherent
 from nlasim.optimize import (SweepConfig, max_fidelity_profile,
-                             maximize_over_T, maximize_total_logneg)
+                             max_fidelity_profiles, maximize_over_T,
+                             maximize_total_logneg)
 
 FAST = SweepConfig(grid_points=40, refine_tolerance=1e-6)
 
@@ -194,8 +195,38 @@ def test_max_fidelity_profile_bitwise_equal_reference(kind, n_units, alpha,
         _bytes_or_guard(lambda: reference_fidelity_profile(*args))
 
 
-@pytest.mark.parametrize("kind", VALID_KINDS)
-def test_max_fidelity_profile_builds_states_once(monkeypatch, kind):
+def _raise_or_return(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(VALID_KINDS), n_units=st.integers(1, 8),
+       alphas=st.lists(st.floats(0.05, 2.5), min_size=1, max_size=3),
+       gains=st.lists(st.floats(1.1, 2.0), min_size=1, max_size=3),
+       n_max=st.integers(8, 40), grid_points=st.integers(3, 12))
+# rows that pass and rows that trip the input tail guard in one group
+@example(kind="PC", n_units=3, alphas=[0.05, 2.5], gains=[1.5, 1.1],
+         n_max=8, grid_points=12)
+def test_max_fidelity_profiles_rows_bitwise_equal_reference(
+        kind, n_units, alphas, gains, n_max, grid_points):
+    # every row of a group, sharing its diagonals and heralds, gives the
+    # bits or the guard that the literal reference gives for it alone
+    cfg = SweepConfig(grid_points=grid_points)
+    outcomes = max_fidelity_profiles(alphas, gains, kind, n_units, n_max,
+                                     cfg)
+    pairs = [(a, g) for a in alphas for g in gains]
+    assert len(outcomes) == len(pairs)
+    for (alpha, gain), outcome in zip(pairs, outcomes):
+        args = (alpha, gain, kind, n_units, n_max, cfg)
+        assert _bytes_or_guard(lambda: _raise_or_return(outcome)) == \
+            _bytes_or_guard(lambda: reference_fidelity_profile(*args))
+
+
+def _spy_on_builds(monkeypatch):
+    """Count coherent_state and nla_diagonal calls; collect every search's
+    (t, value) record in one list."""
     calls = Counter()
 
     def spy(name, original):
@@ -214,7 +245,12 @@ def test_max_fidelity_profile_builds_states_once(monkeypatch, kind):
     monkeypatch.setattr(optimize, "maximize_over_T",
                         lambda objective, config=None:
                         search(objective, config, record=record))
+    return calls, record
 
+
+@pytest.mark.parametrize("kind", VALID_KINDS)
+def test_max_fidelity_profile_builds_states_once(monkeypatch, kind):
+    calls, record = _spy_on_builds(monkeypatch)
     states = {}
     for grid_points in (5, 50):
         calls.clear()
@@ -223,10 +259,25 @@ def test_max_fidelity_profile_builds_states_once(monkeypatch, kind):
                              SweepConfig(grid_points=grid_points))
         # the input and the target state, however many T are tried
         states[grid_points] = calls["coherent_state"]
-        # one diagonal per evaluation, plus the one at the optimum
-        assert calls["nla_diagonal"] == len(record) + 1
+        # one diagonal per distinct T evaluated; the optimum reuses its own
+        assert calls["nla_diagonal"] == len({t for t, _ in record})
         assert len(record) > grid_points
     assert states[5] == states[50] == 2
+
+
+@pytest.mark.parametrize("kind", VALID_KINDS)
+def test_max_fidelity_profiles_share_builds_across_the_group(monkeypatch,
+                                                             kind):
+    calls, record = _spy_on_builds(monkeypatch)
+    alphas, gains = (0.3, 0.6), (1.2, 1.5, 1.8)
+    outcomes = max_fidelity_profiles(alphas, gains, kind, 3, 30,
+                                     SweepConfig(grid_points=20))
+    assert not any(isinstance(o, Exception) for o in outcomes)
+    assert len(record) > len(outcomes) * 20
+    # one diagonal per distinct T over all six rows' searches
+    assert calls["nla_diagonal"] == len({t for t, _ in record})
+    # one input per alpha and one target per (alpha, gain) row
+    assert calls["coherent_state"] == len(alphas) + len(alphas) * len(gains)
 
 
 def _truncation_message(search):
