@@ -32,8 +32,9 @@ All keys but the grids have defaults, ``optimizer``'s from ``SweepConfig``:
 
 Independent tasks fan out over a process pool: one per row for ``distill``
 and ``cascade-compare``, one per (kind, N) group for ``amplify``, whose rows
-share that group's amplifier diagonals, so a config with fewer groups than
-workers uses fewer processes.  Rows are emitted in sorted parameter order
+share that group's coarse-grid amplifier diagonals; when there are fewer
+groups than workers, each group's rows are cut into contiguous runs, one
+task each, so that every worker has work.  Rows are emitted in sorted parameter order
 regardless of worker scheduling, a failing run reports the first failing
 row in that order, and float cells use 17 significant digits, so identical
 configs give byte-identical output at any worker count.
@@ -284,10 +285,12 @@ def _distill_point(scenario, n_max, sweep):
         ref.total_logneg
 
 
-def _fan_out(worker, tasks, n_workers):
-    if n_workers is None:
-        n_workers = os.cpu_count() or 1
-    n_workers = max(1, min(n_workers, len(tasks)))
+def _worker_count(workers) -> int:
+    return os.cpu_count() or 1 if workers is None else workers
+
+
+def _fan_out(worker, tasks, workers):
+    n_workers = max(1, min(_worker_count(workers), len(tasks)))
     if n_workers == 1:
         return [worker(*task) for task in tasks]
     # imported only for a pool, so serial runs never load multiprocessing
@@ -300,18 +303,25 @@ def _fan_out(worker, tasks, n_workers):
 # experiment runners: validated params in, (header, rows) out, rows sorted
 
 def run_amplify(p: dict):
-    # one task per (kind, N) group, whose rows share its diagonals; rows come
-    # back alpha-major and are put in row order, which raises the first
-    # failing row's exception whatever the scheduling
+    # one task per (kind, N) group, whose rows share its grid diagonals; with
+    # fewer groups than workers each group's rows, alpha-major, are cut into
+    # contiguous runs so that every worker gets a task.  Outcomes are put in
+    # row order, which raises the first failing row's exception whatever the
+    # scheduling
+    pairs = [(a, g) for a in p["alphas"] for g in p["target_gains"]]
     groups = [(k, n) for n in p["n_units"] for k in p["kinds"]]
-    tasks = [(p["alphas"], p["target_gains"], k, n, p["n_max"],
-              p["optimizer"]) for k, n in groups]
+    cuts = min(len(pairs), -(-_worker_count(p["workers"]) // len(groups)))
+    runs = [pairs[len(pairs) * i // cuts:len(pairs) * (i + 1) // cuts]
+            for i in range(cuts)]
+    tasks = [(run, k, n, p["n_max"], p["optimizer"])
+             for k, n in groups for run in runs]
     results = _fan_out(max_fidelity_profiles, tasks, p["workers"])
+    by_group = [[o for res in results[i:i + cuts] for o in res]
+                for i in range(0, len(results), cuts)]
     header = ["alpha", "target_gain", "kind", "n_units", "n_max",
               "optimal_t", "fidelity", "success_prob"]
-    pairs = [(a, g) for a in p["alphas"] for g in p["target_gains"]]
     rows = []
-    for (a, g), outcomes in zip(pairs, zip(*results)):
+    for (a, g), outcomes in zip(pairs, zip(*by_group)):
         for (k, n), outcome in zip(groups, outcomes):
             if isinstance(outcome, Exception):
                 raise outcome

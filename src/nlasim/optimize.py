@@ -87,60 +87,102 @@ def maximize_over_T(objective, config: SweepConfig | None = None,
     return best_t, best_v
 
 
-def max_fidelity_profiles(alphas, target_gains, kind: str, n_units: int,
-                          n_max: int = 30,
+def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
                           config: SweepConfig | None = None) -> list:
-    """:func:`max_fidelity_profile` for every (alpha, target gain) pair of one
-    amplifier kind and unit count, alpha-major.
+    """:func:`max_fidelity_profile` for every ``(alpha, target_gain)`` in
+    ``rows``, all of one amplifier kind and unit count.
 
-    Each row's outcome is its ``(t_star, fidelity_star, success_prob)`` or the
-    exception it raised, so a caller can report the first failure in its own
-    row order.  Within this one call every distinct T gets one diagonal, and
-    every distinct (alpha, T) one herald step, shared by the rows that reach
-    them; a row still makes its own evaluations in its own order, and a guard
-    that trips is not remembered, so each row gives the bits and the
-    exception it would give alone.  The guards trip in amplify_coherent's
-    order: the kind and N, the input tail, the herald probability, the
-    output top bin, the target tail.
+    Returns one outcome per row, in order: its ``(t_star, fidelity_star,
+    success_prob)`` or the exception it raised, so a caller can report the
+    first failure in its own row order.
+
+    The coarse grid runs T-major: each grid T gets one diagonal for every
+    row and one herald step for each alpha, dropped before the next T, and
+    each row keeps one float per grid T.  Each row then runs its own search,
+    which reads its grid values back and refines with diagonals of its own.
+    A row makes the evaluations it would make alone, in the same order,
+    with the guards in amplify_coherent's order (the kind and N, the input
+    tail, the herald probability, the output top bin, the target tail); a
+    guard that trips is not remembered, so each row gives the bits and the
+    exception it would give alone.
     """
-    diagonals = {}                      # T -> diagonal, for every row
+    cfg = config or SweepConfig()
+    ts = cfg.t_grid
+    inputs = {}                         # alpha -> input amplitudes
+    signs = [None] * len(rows)
+    targets = [None] * len(rows)
 
-    def diagonal(t: float) -> np.ndarray:
-        if t not in diagonals:
-            diagonals[t] = nla_diagonal(NlaSpec(kind, n_units, t), n_max)
-        return diagonals[t]
+    def evaluate(r: int, t: float, diagonal, heralds: dict):
+        """Row r's fidelity and herald probability at T."""
+        alpha, gain = rows[r]
+        if signs[r] is None:
+            # the row's first T checks kind and N before any state
+            signs[r] = _target_sign(NlaSpec(kind, n_units, t))
+        if alpha not in heralds:
+            if alpha not in inputs:
+                inputs[alpha] = coherent_state(alpha, n_max).amps
+            heralds[alpha] = _herald(diagonal(), inputs[alpha])
+        out, prob = heralds[alpha]
+        if targets[r] is None:
+            targets[r] = coherent_state(signs[r] * gain * alpha, n_max).amps
+        return float(abs(np.vdot(targets[r], out)) ** 2), prob
+
+    def builder(t: float):
+        built = []
+
+        def diagonal() -> np.ndarray:
+            if not built:
+                built.append(nla_diagonal(NlaSpec(kind, n_units, t), n_max))
+            return built[0]
+        return diagonal
+
+    # grid values of each row, up to its first failure or non-finite value
+    values = np.empty((len(rows), len(ts)))
+    done = [0] * len(rows)
+    failures = [None] * len(rows)
+    grid_best = [None] * len(rows)      # (value, prob) at the first maximum
+    live = list(range(len(rows)))
+    for j, t in enumerate(ts):
+        diagonal, heralds = builder(t), {}
+        for r in live:
+            try:
+                v, prob = evaluate(r, t, diagonal, heralds)
+            except Exception as exc:    # the row's outcome, not the group's
+                failures[r] = exc.with_traceback(None)
+                continue
+            values[r, j] = v
+            done[r] = j + 1
+            if grid_best[r] is None or v > grid_best[r][0]:
+                grid_best[r] = (v, prob)
+        live = [r for r in live if failures[r] is None
+                and math.isfinite(values[r, j])]
+        if not live:
+            break
 
     outcomes = []
-    for alpha in alphas:
-        psi = None
-        heralds = {}                    # T -> (output amplitudes, prob)
+    for r in range(len(rows)):
+        calls = 0
+        refined = {}                    # refine T -> herald probability
 
-        def herald(t: float):
-            nonlocal psi
-            if t not in heralds:
-                if psi is None:
-                    psi = coherent_state(alpha, n_max)
-                heralds[t] = _herald(diagonal(t), psi.amps)
-            return heralds[t]
+        def objective(t: float) -> float:
+            # maximize_over_T samples the grid, in order, before refining
+            nonlocal calls
+            j, calls = calls, calls + 1
+            if j < len(ts):
+                if j < done[r]:
+                    return values[r, j]
+                raise failures[r]
+            v, prob = evaluate(r, t, builder(t), {})
+            refined[t] = prob
+            return v
 
-        for gain in target_gains:
-            sign = target = None
-
-            def objective(t: float) -> float:
-                nonlocal sign, target
-                if sign is None:
-                    # the row's first T checks kind and N before any state
-                    sign = _target_sign(NlaSpec(kind, n_units, t))
-                out, _ = herald(t)
-                if target is None:
-                    target = coherent_state(sign * gain * alpha, n_max)
-                return float(abs(np.vdot(target.amps, out)) ** 2)
-
-            try:
-                t_star, f_star = maximize_over_T(objective, config)
-                outcomes.append((t_star, f_star, herald(t_star)[1]))
-            except Exception as exc:    # the row's outcome, not the group's
-                outcomes.append(exc)
+        try:
+            t_star, f_star = maximize_over_T(objective, cfg)
+        except Exception as exc:
+            outcomes.append(exc.with_traceback(None))
+            continue
+        prob = refined.get(t_star, grid_best[r][1])
+        outcomes.append((t_star, f_star, prob))
     return outcomes
 
 
@@ -153,8 +195,8 @@ def max_fidelity_profile(alpha: complex, target_gain: float, kind: str,
     that maximising ``amplify_coherent(...).fidelity`` over T gives: the
     one-row case of :func:`max_fidelity_profiles`, whose guard it raises.
     """
-    (outcome,) = max_fidelity_profiles((alpha,), (target_gain,), kind,
-                                       n_units, n_max, config)
+    (outcome,) = max_fidelity_profiles([(alpha, target_gain)], kind, n_units,
+                                       n_max, config)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -395,7 +395,7 @@ def test_criterion_13_amplify_runner_determinism(tmp_path):
     rows = [line.split(",") for line in outputs[0].decode().splitlines()[1:]]
     as_alone = [(float(a), float(g), k, int(n), float(t), float(f),
                  float(pr)) for a, g, k, n, _, t, f, pr in rows] == alone
-    ok = identical and as_alone and tm.elapsed < 60
+    ok = identical and as_alone
     line = report(13, ok, f"amplify outputs byte-identical over repeated "
                           f"runs at 1 and 2 workers: {identical}, rows as "
                           f"searched alone: {as_alone} "

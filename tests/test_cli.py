@@ -302,6 +302,41 @@ def test_amplify_reports_the_first_failing_row(tmp_path, capsys, workers):
                           "population ")
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_amplify_split_group_reports_the_first_failing_row(tmp_path, capsys,
+                                                           workers):
+    # one (kind, N) group, cut into one run per row at two workers: row
+    # (0.05, 1.5) fails on its top bin, before row (2.5, 1.5) fails its
+    # input tail
+    path = write_config(tmp_path, {"alphas": [0.05, 2.5],
+                                   "target_gains": [1.5], "kinds": ["QS"],
+                                   "n_units": [3], "n_max": 3})
+    assert main(["amplify", "--config", path, "--workers", workers]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical guard: amplified state: top-bin "
+                          "population ")
+
+
+def test_amplify_split_groups_give_the_same_bytes(tmp_path):
+    # fewer groups than workers: at three workers each group's six rows
+    # are cut into runs of two, at four into runs of one and two that
+    # straddle an alpha
+    path = write_config(tmp_path, {"alphas": [0.3, 0.7],
+                                   "target_gains": [1.2, 1.5, 1.8],
+                                   "kinds": ["PC"], "n_units": [2],
+                                   "n_max": 15,
+                                   "optimizer": {"grid_points": 8}})
+    outputs = []
+    for workers in ("1", "3", "4"):
+        out = tmp_path / f"rows{workers}.csv"
+        assert main(["amplify", "--config", path, "--out", str(out),
+                     "--workers", workers]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0].count(b"\n") == 7
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_catalysis_sum_overflow_gives_exit_2(tmp_path, capsys):
     # at T 1e-300 the two-unit catalysis sum exceeds the float range
     path = write_config(tmp_path, {**AMPLIFY_MIN, "kinds": ["PC"],

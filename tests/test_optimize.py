@@ -214,9 +214,8 @@ def test_max_fidelity_profiles_rows_bitwise_equal_reference(
     # every row of a group, sharing its diagonals and heralds, gives the
     # bits or the guard that the literal reference gives for it alone
     cfg = SweepConfig(grid_points=grid_points)
-    outcomes = max_fidelity_profiles(alphas, gains, kind, n_units, n_max,
-                                     cfg)
     pairs = [(a, g) for a in alphas for g in gains]
+    outcomes = max_fidelity_profiles(pairs, kind, n_units, n_max, cfg)
     assert len(outcomes) == len(pairs)
     for (alpha, gain), outcome in zip(pairs, outcomes):
         args = (alpha, gain, kind, n_units, n_max, cfg)
@@ -225,8 +224,8 @@ def test_max_fidelity_profiles_rows_bitwise_equal_reference(
 
 
 def _spy_on_builds(monkeypatch):
-    """Count coherent_state and nla_diagonal calls; collect every search's
-    (t, value) record in one list."""
+    """Count coherent_state, nla_diagonal and _herald calls; collect each
+    search's (t, value) record as one list in ``records``."""
     calls = Counter()
 
     def spy(name, original):
@@ -235,32 +234,38 @@ def _spy_on_builds(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
-    for name, home in (("coherent_state", fock), ("nla_diagonal", nla)):
+    for name, home in (("coherent_state", fock), ("nla_diagonal", nla),
+                       ("_herald", nla)):
         original = getattr(home, name)
         for module in (fock, nla, optimize):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy(name, original))
-    record = []
+    records = []
     search = optimize.maximize_over_T
-    monkeypatch.setattr(optimize, "maximize_over_T",
-                        lambda objective, config=None:
-                        search(objective, config, record=record))
-    return calls, record
+
+    def recorded(objective, config=None):
+        records.append([])
+        return search(objective, config, record=records[-1])
+
+    monkeypatch.setattr(optimize, "maximize_over_T", recorded)
+    return calls, records
 
 
 @pytest.mark.parametrize("kind", VALID_KINDS)
 def test_max_fidelity_profile_builds_states_once(monkeypatch, kind):
-    calls, record = _spy_on_builds(monkeypatch)
+    calls, records = _spy_on_builds(monkeypatch)
     states = {}
     for grid_points in (5, 50):
         calls.clear()
-        record.clear()
+        records.clear()
         max_fidelity_profile(0.4, 1.5, kind, 3, 30,
                              SweepConfig(grid_points=grid_points))
         # the input and the target state, however many T are tried
         states[grid_points] = calls["coherent_state"]
         # one diagonal per distinct T evaluated; the optimum reuses its own
+        (record,) = records
         assert calls["nla_diagonal"] == len({t for t, _ in record})
+        assert calls["_herald"] == calls["nla_diagonal"]
         assert len(record) > grid_points
     assert states[5] == states[50] == 2
 
@@ -268,16 +273,22 @@ def test_max_fidelity_profile_builds_states_once(monkeypatch, kind):
 @pytest.mark.parametrize("kind", VALID_KINDS)
 def test_max_fidelity_profiles_share_builds_across_the_group(monkeypatch,
                                                              kind):
-    calls, record = _spy_on_builds(monkeypatch)
-    alphas, gains = (0.3, 0.6), (1.2, 1.5, 1.8)
-    outcomes = max_fidelity_profiles(alphas, gains, kind, 3, 30,
-                                     SweepConfig(grid_points=20))
+    calls, records = _spy_on_builds(monkeypatch)
+    alphas, gains, grid_points = (0.3, 0.6), (1.2, 1.5, 1.8), 20
+    rows = [(a, g) for a in alphas for g in gains]
+    outcomes = max_fidelity_profiles(rows, kind, 3, 30,
+                                     SweepConfig(grid_points=grid_points))
     assert not any(isinstance(o, Exception) for o in outcomes)
-    assert len(record) > len(outcomes) * 20
-    # one diagonal per distinct T over all six rows' searches
-    assert calls["nla_diagonal"] == len({t for t, _ in record})
+    # one search per row, each sampling the whole grid before refining
+    assert len(records) == len(rows)
+    assert all(len(record) > grid_points for record in records)
+    refines = sum(len(record) - grid_points for record in records)
+    # one diagonal per grid T for the whole group and one herald step per
+    # (alpha, grid T); each refinement builds its own
+    assert calls["nla_diagonal"] == grid_points + refines
+    assert calls["_herald"] == len(alphas) * grid_points + refines
     # one input per alpha and one target per (alpha, gain) row
-    assert calls["coherent_state"] == len(alphas) + len(alphas) * len(gains)
+    assert calls["coherent_state"] == len(alphas) + len(rows)
 
 
 def _truncation_message(search):
