@@ -93,8 +93,8 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
     ``rows``, all of one amplifier kind and unit count.
 
     Returns one outcome per row, in order: its ``(t_star, fidelity_star,
-    success_prob)`` or the exception it raised, so a caller can report the
-    first failure in its own row order.
+    success_prob)`` or the exception it raised, without its traceback, so a
+    caller can report the first failure in its own row order.
 
     The coarse grid runs T-major: each grid T gets one diagonal for every
     row and one herald step for each alpha, dropped before the next T, and
