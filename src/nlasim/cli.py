@@ -15,9 +15,8 @@ Config files are JSON objects.  A subcommand's key table is the one list of
 keys it accepts: unknown keys and out-of-range values are rejected before any
 work starts, and ``--KEY`` overrides KEY where the table holds it (``--out``,
 ``--format``, ``--workers``; for ``verify`` ``--out`` and ``--tolerance``, the
-latter for every check).  ``sweep`` runs serially, whatever ``workers`` says,
-and samples the T grid with no refinement, so its ``optimizer`` takes no
-``refine_tolerance``.
+latter for every check).  ``sweep`` samples the T grid with no refinement, so
+its ``optimizer`` takes no ``refine_tolerance``.
 All keys but the grids have defaults, ``optimizer``'s from ``SweepConfig``:
 
     {"experiment": "distill",            # optional, must match the subcommand
@@ -30,14 +29,15 @@ All keys but the grids have defaults, ``optimizer``'s from ``SweepConfig``:
      "attenuations_db": [0, 5, 10], "kinds": ["QS", "PC"], "n_units": [2],
      "strategy": "unfiltered", "amplified_index": 1}
 
-Independent tasks fan out over a process pool: one per row for ``distill``
-and ``cascade-compare``, one per (kind, N) group for ``amplify``, whose rows
-share that group's coarse-grid amplifier diagonals; when there are fewer
-groups than workers, each group's rows are cut into contiguous runs, one
-task each, so that every worker has work.  Rows are emitted in sorted parameter order
-regardless of worker scheduling, a failing run reports the first failing
-row in that order, and float cells use 17 significant digits, so identical
-configs give byte-identical output at any worker count.
+Independent tasks fan out over a process pool: one per row for ``distill``,
+``cascade-compare`` and ``sweep``, one per (kind, N) group for ``amplify``,
+whose rows share that group's coarse-grid amplifier diagonals; when there
+are fewer groups than workers, each group's rows are cut into contiguous
+runs, one task each, so that every worker has work.  Rows are emitted in
+sorted parameter order regardless of worker scheduling, a failing run
+reports the first failing row in that order, and float cells use 17
+significant digits, so identical configs give byte-identical output at any
+worker count.
 
 Exit codes: 0 success, 1 config/validation error or unwritable ``--out``,
 2 numerical-guard failure, 3 verification failure.
@@ -54,9 +54,9 @@ from functools import partial
 
 import numpy as np
 
-from . import fock, nla, oracle
-from .distill import (DEFAULT_DECAY, DEFAULT_SUPERMODES, DistillScenario,
-                      PdcSpec, _gaussian_log_negativities, _log_negativities,
+from . import distill, fock, nla, oracle
+from .distill import (DEFAULT_DECAY, DEFAULT_SUPERMODES, PdcSpec,
+                      _gaussian_log_negativities, _log_negativities,
                       apply_strategy, lossy_pdc_densities, reference_no_nla)
 from .fock import (ChannelSpec, NormalizationError, TruncationError,
                    squeezing_from_db)
@@ -81,9 +81,9 @@ class ConfigError(ValueError):
 # config keys and flags alike.  The parsers check types only; build_experiment
 # then builds the domain objects once, so their constructors' range rules
 # apply before any work, and hands them to the runners: outside verify
-# params["optimizer"] is a SweepConfig and, for distill, cascade-compare and
-# sweep, params["points"] holds one DistillScenario per output row (two per
-# n_units for cascade-compare).
+# params["optimizer"] is a SweepConfig; for distill, cascade-compare and
+# sweep, "pdc" is the source, "receiver" its (strategy, amplified_index) and
+# "points" one (ChannelSpec, kind, n_units) per row (two per N for cascade).
 
 _ABSENT = object()      # default of an optional key that has none
 
@@ -244,7 +244,7 @@ def _build_domain(experiment: str, p: dict) -> None:
         pdc = PdcSpec(np.ones(1), squeezing_from_db(p["r_db"]))
         grid = [(0.0, k, n) for n in p["n_units"]
                 for k in ("PC", "CascadedPC")]
-        receiver = ()
+        receiver = ("unfiltered", 1)
     else:
         pdc = PdcSpec.from_scenario(p["scenario"], p["r1_db"], p["k_modes"],
                                     p["decay"])
@@ -254,10 +254,9 @@ def _build_domain(experiment: str, p: dict) -> None:
         else:
             grid = [(p["attenuation_db"], p["kind"], p["n_units"])]
         receiver = (p["strategy"], p["amplified_index"])
-    # the amplifier transmissivity is a placeholder that the runners replace
-    p["points"] = tuple(DistillScenario(pdc, ChannelSpec(db),
-                                        NlaSpec(k, n, 0.5), *receiver)
-                        for db, k, n in grid)
+    p["points"] = tuple((ChannelSpec(db), k, n) for db, k, n in grid)
+    distill._check_receiver(*receiver, pdc.lambdas.size)
+    p["pdc"], p["receiver"] = pdc, receiver
 
 
 def build_experiment(experiment: str, raw: dict, **flags) -> dict:
@@ -277,9 +276,10 @@ def build_experiment(experiment: str, raw: dict, **flags) -> dict:
 # ---------------------------------------------------------------------------
 # worker tasks (module-level, picklable)
 
-def _distill_point(scenario, n_max, sweep):
-    lossy = lossy_pdc_densities(scenario.pdc, scenario.channel, n_max)
-    best = maximize_total_logneg(scenario, lossy, sweep)
+def _distill_point(pdc, channel, kind, n_units, receiver, n_max, sweep):
+    lossy = lossy_pdc_densities(pdc, channel, n_max)
+    best = maximize_total_logneg(lossy, kind, n_units, *receiver,
+                                 config=sweep)
     ref = reference_no_nla(lossy)
     return best.optimal_t, best.total_logneg, best.success_prob, \
         ref.total_logneg
@@ -330,43 +330,42 @@ def run_amplify(p: dict):
 
 
 def run_distill(p: dict):
-    tasks = [(sc, p["n_max"], p["optimizer"]) for sc in p["points"]]
+    tasks = [(p["pdc"], *row, p["receiver"], p["n_max"], p["optimizer"])
+             for row in p["points"]]
     results = _fan_out(_distill_point, tasks, p["workers"])
     header = ["attenuation_db", "eta", "scenario", "strategy", "kind",
               "n_units", "n_max", "optimal_t", "total_logneg",
               "success_prob", "reference_logneg"]
-    rows = [[sc.channel.attenuation_db, sc.channel.eta, p["scenario"],
-             p["strategy"], sc.nla.kind, sc.nla.n_units, p["n_max"],
-             t, e, pr, ref]
-            for sc, (t, e, pr, ref) in zip(p["points"], results)]
+    rows = [[ch.attenuation_db, ch.eta, p["scenario"], p["strategy"], k, n,
+             p["n_max"], t, e, pr, ref]
+            for (ch, k, n), (t, e, pr, ref) in zip(p["points"], results)]
     return header, rows
 
 
 def run_cascade_compare(p: dict):
-    tasks = [(sc, p["n_max"], p["optimizer"]) for sc in p["points"]]
+    tasks = [(p["pdc"], *row, p["receiver"], p["n_max"], p["optimizer"])
+             for row in p["points"]]
     results = _fan_out(_distill_point, tasks, p["workers"])
     header = ["r_db", "n_units", "arrangement", "n_max", "optimal_t",
               "total_logneg", "success_prob"]
     label = {"PC": "parallel", "CascadedPC": "cascaded"}
-    rows = [[p["r_db"], sc.nla.n_units, label[sc.nla.kind], p["n_max"],
-             t, e, pr]
-            for sc, (t, e, pr, _) in zip(p["points"], results)]
+    rows = [[p["r_db"], n, label[k], p["n_max"], t, e, pr]
+            for (_, k, n), (t, e, pr, _) in zip(p["points"], results)]
     return header, rows
 
 
 def run_sweep(p: dict):
     """Emit the raw per-T objective surface for one distillation point."""
-    sweep, (sc,) = p["optimizer"], p["points"]
-    lossy = lossy_pdc_densities(sc.pdc, sc.channel, p["n_max"])
+    ((channel, kind, n_units),) = p["points"]
+    lossy = lossy_pdc_densities(p["pdc"], channel, p["n_max"])
+    ts = p["optimizer"].t_grid
+    tasks = [(lossy, NlaSpec(kind, n_units, t), *p["receiver"]) for t in ts]
+    results = _fan_out(apply_strategy, tasks, p["workers"])
     header = ["attenuation_db", "kind", "n_units", "n_max", "t",
               "total_logneg", "success_prob"]
-    rows = []
-    for t in sweep.t_grid:
-        res = apply_strategy(lossy, NlaSpec(p["kind"], p["n_units"], t),
-                             p["strategy"], p["amplified_index"])
-        rows.append([p["attenuation_db"], p["kind"], p["n_units"],
-                     p["n_max"], float(t), res.total_logneg,
-                     res.success_prob])
+    rows = [[p["attenuation_db"], kind, n_units, p["n_max"], float(t),
+             res.total_logneg, res.success_prob]
+            for t, res in zip(ts, results)]
     return header, rows
 
 

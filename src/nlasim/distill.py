@@ -80,10 +80,6 @@ class PdcSpec:
         object.__setattr__(self, "lambdas", lam)
 
     @property
-    def k_modes(self) -> int:
-        return self.lambdas.size
-
-    @property
     def squeezings(self) -> np.ndarray:
         return self.gain * self.lambdas
 
@@ -107,20 +103,6 @@ def _check_receiver(strategy, amplified_index: int, k_modes: int) -> None:
         raise ValueError("strategy must be 'unfiltered' or 'filtered'")
     if not 1 <= _integer(amplified_index, "amplified_index") <= k_modes:
         raise ValueError("amplified_index must lie in [1, K]")
-
-
-@dataclass(frozen=True)
-class DistillScenario:
-    """Source, channel, amplifier and receiver strategy for one distill run."""
-
-    pdc: PdcSpec
-    channel: ChannelSpec
-    nla: NlaSpec
-    strategy: Strategy = "unfiltered"
-    amplified_index: int = 1
-
-    def __post_init__(self):
-        _check_receiver(self.strategy, self.amplified_index, self.pdc.k_modes)
 
 
 @dataclass(frozen=True)
@@ -240,7 +222,7 @@ def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
     bystanders are scored on their truncated amplitudes; the unfiltered
     bystanders, which the circuit attenuates or vacuum-projects, in closed
     form (:func:`_gaussian_log_negativities`).  An unknown strategy or an
-    index outside [1, K] raises ValueError, as in :class:`DistillScenario`.
+    index that is not an integer in [1, K] raises ValueError.
     """
     k_modes, dim, _ = lossy.shape
     _check_receiver(strategy, amplified_index, k_modes)

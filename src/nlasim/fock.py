@@ -77,32 +77,6 @@ def guard_truncation(populations: np.ndarray, limit: float = 1e-6,
             f"{limit:g} of the peak bin {peak:.3e}; increase n_max")
 
 
-@dataclass(frozen=True)
-class PureStateVector:
-    """Single-mode state in the truncated Fock basis, possibly sub-normalised."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.ascontiguousarray(self.amps, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amps must be a non-empty 1-d array")
-        if not np.isfinite(amps.view(float)).all():
-            raise ValueError("amps must be finite")
-        nsq = float(np.vdot(amps, amps).real)
-        if nsq > 1.0 + 1e-12:
-            raise NormalizationError(f"squared norm {nsq} exceeds 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def n_max(self) -> int:
-        return self.amps.size - 1
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-
 def vacuum_projection_diagonal(n_max: int) -> np.ndarray:
     coeffs = np.zeros(n_max + 1)
     coeffs[0] = 1.0
@@ -133,7 +107,7 @@ class ChannelSpec:
 
 
 def coherent_state(alpha: complex, n_max: int,
-                   tail_tol: float = 1e-8) -> PureStateVector:
+                   tail_tol: float = 1e-8) -> np.ndarray:
     """Coherent-state amplitudes e^(-|a|^2/2) a^n / sqrt(n!) up to ``n_max``.
 
     Raises TruncationError when the neglected Poisson tail carries more than
@@ -144,11 +118,11 @@ def coherent_state(alpha: complex, n_max: int,
     for n in range(1, n_max + 1):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     tail = 1.0 - float(np.vdot(amps, amps).real)
-    if tail > tail_tol:
+    if not tail <= tail_tol:            # a non-finite alpha fails here too
         raise TruncationError(
             f"coherent state |alpha|={abs(alpha):.4g} loses {tail:.3e} "
             f"probability beyond n_max={n_max}")
-    return PureStateVector(amps)
+    return amps
 
 
 def tmsv_schmidt(r: float, n_max: int, tail_tol: float = 1e-10) -> np.ndarray:

@@ -29,9 +29,8 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import (NormalizationError, PureStateVector, attenuator_diagonal,
-                   coherent_state, guard_truncation,
-                   vacuum_projection_diagonal)
+from .fock import (NormalizationError, attenuator_diagonal, coherent_state,
+                   guard_truncation, vacuum_projection_diagonal)
 
 NlaKind = Literal["QS", "PC", "CascadedPC"]
 
@@ -77,9 +76,9 @@ class NlaSpec:
 
 @dataclass(frozen=True)
 class AmplifyResult:
-    """Heralded output state, success probability and optional fidelity."""
+    """Heralded amplitudes, success probability and optional fidelity."""
 
-    out_state: PureStateVector
+    out_state: np.ndarray
     success_prob: float
     fidelity: float | None = None
 
@@ -208,10 +207,10 @@ def _passive_diagonal(spec: NlaSpec, n_max: int) -> np.ndarray:
     return unit ** spec.n_units
 
 
-def fidelity_to_coherent(state: PureStateVector, beta: complex) -> float:
+def fidelity_to_coherent(amps: np.ndarray, beta: complex) -> float:
     """|<beta|psi>|^2 against a coherent state representable at psi's cutoff."""
-    target = coherent_state(beta, state.n_max)
-    return float(abs(np.vdot(target.amps, state.amps)) ** 2)
+    target = coherent_state(beta, amps.size - 1)
+    return float(abs(np.vdot(target, amps)) ** 2)
 
 
 def _target_sign(spec: NlaSpec) -> float:
@@ -228,9 +227,8 @@ def _herald(coeffs: np.ndarray,
     """Heralded output amplitudes of ``coeffs`` on ``amps``, normalised, and
     the herald probability.
 
-    Checks what PureStateVector would, then the top bin: NormalizationError
-    when the herald has zero probability, ValueError for non-finite
-    amplitudes, NormalizationError for a squared norm past 1, then
+    NormalizationError when the herald has zero probability, ValueError for
+    non-finite amplitudes, NormalizationError for a squared norm past 1, then
     TruncationError when the output's top Fock bin is populated.
     """
     unnorm = coeffs * amps
@@ -257,9 +255,8 @@ def amplify_coherent(alpha: complex, spec: NlaSpec, n_max: int = 30,
     amplified coherent target with the sign convention of the family
     (+g alpha for QS, -g alpha for PC, (-1)^N g alpha for the cascade).
     """
-    psi = coherent_state(alpha, n_max)
-    amps, prob = _herald(nla_diagonal(spec, n_max), psi.amps)
-    out = PureStateVector(amps)
+    out, prob = _herald(nla_diagonal(spec, n_max),
+                        coherent_state(alpha, n_max))
     fid = None
     if target_gain is not None:
         beta = _target_sign(spec) * target_gain * alpha

@@ -48,7 +48,8 @@ def maximize_over_T(objective, config: SweepConfig | None = None,
 
     Returns ``(t_star, value_star)``; the value is at least as good as every
     grid sample.  ``record``, when given, collects all (t, value) pairs in
-    evaluation order.
+    evaluation order.  Refinement stops at ``refine_tolerance`` or where the
+    bracket stops shrinking, its ends adjacent floats, whichever comes first.
     """
     cfg = config or SweepConfig()
 
@@ -72,7 +73,9 @@ def maximize_over_T(objective, config: SweepConfig | None = None,
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > cfg.refine_tolerance:
+    width = math.inf
+    while width > b - a > cfg.refine_tolerance:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -120,11 +123,11 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
             signs[r] = _target_sign(NlaSpec(kind, n_units, t))
         if alpha not in heralds:
             if alpha not in inputs:
-                inputs[alpha] = coherent_state(alpha, n_max).amps
+                inputs[alpha] = coherent_state(alpha, n_max)
             heralds[alpha] = _herald(diagonal(), inputs[alpha])
         out, prob = heralds[alpha]
         if targets[r] is None:
-            targets[r] = coherent_state(signs[r] * gain * alpha, n_max).amps
+            targets[r] = coherent_state(signs[r] * gain * alpha, n_max)
         return float(abs(np.vdot(targets[r], out)) ** 2), prob
 
     def builder(t: float):
@@ -202,20 +205,31 @@ def max_fidelity_profile(alpha: complex, target_gain: float, kind: str,
     return outcome
 
 
-def maximize_total_logneg(scenario, lossy: np.ndarray,
+def maximize_total_logneg(lossy: np.ndarray, kind: str, n_units: int,
+                          strategy: str = "unfiltered",
+                          amplified_index: int = 1,
                           config: SweepConfig | None = None):
-    """T-optimised distillation result for a fixed scenario and unit count.
+    """T-optimised :func:`apply_strategy` on a lossy source.
 
-    ``lossy`` is the scenario's source from :func:`lossy_pdc_densities`.
-    Returns the :class:`DistillResult` at the optimum with ``optimal_t`` set.
+    ``lossy`` is the stack from :func:`lossy_pdc_densities`.  Returns the
+    :class:`DistillResult` the search computed at its optimum, with
+    ``optimal_t`` set.
     """
-    def objective(t: float) -> float:
-        nla = replace(scenario.nla, transmissivity=t)
-        return apply_strategy(lossy, nla, scenario.strategy,
-                              scenario.amplified_index).total_logneg
+    cfg = config or SweepConfig()
+    # T -> result at each T that can be t_star: the grid's first maximum,
+    # then every refine T, so memory does not grow with grid_points
+    kept, top, calls = {}, -math.inf, 0
 
-    t_star, _ = maximize_over_T(objective, config)
-    nla = replace(scenario.nla, transmissivity=t_star)
-    best = apply_strategy(lossy, nla, scenario.strategy,
-                          scenario.amplified_index)
-    return replace(best, optimal_t=t_star)
+    def objective(t: float) -> float:
+        nonlocal kept, top, calls
+        res = apply_strategy(lossy, NlaSpec(kind, n_units, t), strategy,
+                             amplified_index)
+        calls += 1
+        if calls > cfg.grid_points:
+            kept[t] = res
+        elif res.total_logneg > top:
+            kept, top = {t: res}, res.total_logneg
+        return res.total_logneg
+
+    t_star, _ = maximize_over_T(objective, cfg)
+    return replace(kept[t_star], optimal_t=t_star)

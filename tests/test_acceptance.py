@@ -19,12 +19,11 @@ import pytest
 
 from nlasim import fock, nla, oracle
 from nlasim.cli import main as cli_main
-from nlasim.distill import (DistillScenario, PdcSpec, apply_strategy,
-                            lossy_pdc_densities, reference_no_nla)
+from nlasim.distill import PdcSpec, lossy_pdc_densities, reference_no_nla
 from nlasim.fock import ChannelSpec, log_negativity, squeezing_from_db
 from nlasim.nla import NlaSpec, amplify_coherent, equal_gain_transmissivity
 from nlasim.optimize import (SweepConfig, max_fidelity_profile,
-                             maximize_over_T, maximize_total_logneg)
+                             maximize_total_logneg)
 
 T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -242,11 +241,8 @@ def _threshold_scan():
         lossy = lossy_pdc_densities(pdc, ChannelSpec(float(db)), 20)
         ref = reference_no_nla(lossy).total_logneg
         for kind in ("QS", "PC"):
-            def objective(t, _kind=kind):
-                return apply_strategy(lossy,
-                                      NlaSpec(_kind, 2, t)).total_logneg
-            _, best = maximize_over_T(objective, cfg)
-            diffs[kind].append(best - ref)
+            best = maximize_total_logneg(lossy, kind, 2, config=cfg)
+            diffs[kind].append(best.total_logneg - ref)
     return diffs, time.perf_counter() - t0
 
 
@@ -281,10 +277,8 @@ def test_criterion_10_deep_attenuation_floor():
         values = {}
         for db in (25.0, 35.0):
             lossy = lossy_pdc_densities(pdc, ChannelSpec(db), 20)
-            def objective(t):
-                return apply_strategy(lossy, NlaSpec("PC", 2, t)).total_logneg
-            _, best = maximize_over_T(objective, cfg)
-            values[db] = best
+            best = maximize_total_logneg(lossy, "PC", 2, config=cfg)
+            values[db] = best.total_logneg
         rel = abs(values[25.0] - values[35.0]) / values[25.0]
     ok = rel < 0.05 and tm.elapsed < 300
     line = report(10, ok, f"optimized E at 25 dB {values[25.0]:.4f} vs "
@@ -299,11 +293,10 @@ def test_criterion_10_deep_attenuation_floor():
 def cascade_compare(r, n_units, n_max):
     """Parallel then cascaded catalysis, each the T-optimised distill result
     on one lossless supermode pair (the cascade-compare rows)."""
-    pdc, lossless = PdcSpec(np.ones(1), r), ChannelSpec(0.0)
-    lossy = lossy_pdc_densities(pdc, lossless, n_max)
-    return tuple(maximize_total_logneg(
-        DistillScenario(pdc, lossless, NlaSpec(kind, n_units, 0.5)), lossy)
-        for kind in ("PC", "CascadedPC"))
+    lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), ChannelSpec(0.0),
+                                n_max)
+    return tuple(maximize_total_logneg(lossy, kind, n_units)
+                 for kind in ("PC", "CascadedPC"))
 
 
 def test_criterion_11_parallel_vs_cascaded():

@@ -229,6 +229,49 @@ def test_sweep_emits_grid(tmp_path, capsys):
     assert ts == sorted(ts)
 
 
+def test_sweep_deterministic_across_workers(tmp_path, monkeypatch):
+    # the T grid fans out like every other runner's tasks
+    fanned = []
+
+    def spy(worker, tasks, workers):
+        fanned.append((len(tasks), workers))
+        return fan_out(worker, tasks, workers)
+
+    fan_out = cli._fan_out
+    monkeypatch.setattr(cli, "_fan_out", spy)
+    path = write_config(tmp_path, {
+        "scenario": 2, "r1_db": 3.0, "k_modes": 3, "attenuation_db": 5.0,
+        "kind": "PC", "n_units": 2, "n_max": 18,
+        "optimizer": {"grid_points": 6}})
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"sweep{workers}.csv"
+        assert main(["sweep", "--config", path, "--out", str(out),
+                     "--workers", workers]) == 0
+        outputs.append(out.read_bytes())
+    assert fanned == [(6, 1), (6, 2)]
+    assert outputs[0].count(b"\n") == 7
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("experiment, payload, n_rows", [
+    ("amplify", AMPLIFY_MIN, 8),
+    ("distill", {"attenuations_db": [6.0], "kinds": ["PC"], "n_units": [1],
+                 "n_max": 18, "optimizer": {"grid_points": 8}}, 1),
+], ids=["amplify", "distill"])
+def test_refine_tolerance_below_float_resolution_finishes(tmp_path, capsys,
+                                                          experiment,
+                                                          payload, n_rows):
+    # no two floats are 1e-300 apart near any optimum, so refinement stops
+    # where the bracket stops shrinking
+    path = write_config(tmp_path, {
+        **payload,
+        "optimizer": {**payload["optimizer"], "refine_tolerance": 1e-300}})
+    assert main([experiment, "--config", path, "--workers", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == n_rows + 1
+
+
 def test_cascade_compare_rows(tmp_path, capsys):
     path = write_config(tmp_path, {
         "r_db": 3.0, "n_units": [1], "n_max": 15,

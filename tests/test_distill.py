@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlasim
-from nlasim.distill import (DistillScenario, PdcSpec,
-                            _gaussian_log_negativities, _log_negativities,
-                            apply_strategy, lossy_pdc_densities,
-                            reference_no_nla, scenario_lambdas)
+from nlasim.distill import (PdcSpec, _gaussian_log_negativities,
+                            _log_negativities, apply_strategy,
+                            lossy_pdc_densities, reference_no_nla,
+                            scenario_lambdas)
 from nlasim.fock import (BipartiteDensity, ChannelSpec, TruncationError,
                          apply_diagonal, apply_loss, attenuator_diagonal,
                          guard_truncation, log_negativity, squeezing_from_db,
@@ -307,18 +307,6 @@ def test_eigensolve_covers_only_entangleable_support(monkeypatch):
 # ---------------------------------------------------------------------------
 # strategies
 
-def test_scenario_defaults_match_apply_strategy():
-    pdc = scenario1()
-    nla = NlaSpec("PC", 2, 0.1)
-    sc = DistillScenario(pdc, ChannelSpec(5.0), nla)
-    lossy = lossy_pdc_densities(pdc, sc.channel, N_MAX)
-    from_scenario = apply_strategy(lossy, sc.nla, sc.strategy,
-                                   sc.amplified_index)
-    defaults = apply_strategy(lossy, nla)
-    assert from_scenario.total_logneg == defaults.total_logneg
-    assert from_scenario.success_prob == defaults.success_prob
-
-
 def test_nlasim_distill_names_the_submodule():
     assert nlasim.distill is sys.modules["nlasim.distill"]
 
@@ -447,13 +435,12 @@ def test_amplified_index_selects_supermode():
 
 
 def test_scenario_validation():
-    pdc = scenario1()
-    with pytest.raises(ValueError):
-        DistillScenario(pdc, ChannelSpec(5.0), NlaSpec("QS", 1, 0.5),
-                        "bogus")
-    with pytest.raises(ValueError):
-        DistillScenario(pdc, ChannelSpec(5.0), NlaSpec("QS", 1, 0.5),
-                        "unfiltered", amplified_index=6)
+    lossy = lossy_pdc_densities(scenario1(), ChannelSpec(5.0), N_MAX)
+    with pytest.raises(ValueError, match="strategy must be"):
+        apply_strategy(lossy, NlaSpec("QS", 1, 0.5), "bogus")
+    with pytest.raises(ValueError, match="amplified_index must lie in"):
+        apply_strategy(lossy, NlaSpec("QS", 1, 0.5), "unfiltered",
+                       amplified_index=6)
 
 
 @pytest.mark.parametrize("strategy, amplified_index, message", (
@@ -480,9 +467,10 @@ def test_apply_strategy_validates_receiver(strategy, amplified_index,
 @pytest.mark.parametrize("amplified_index", (1.5, True, False, 2.0, "1"))
 def test_scenario_rejects_non_integer_index(amplified_index):
     # the same integer rule as the amplifier's unit count
+    lossy = lossy_pdc_densities(scenario1(), ChannelSpec(5.0), N_MAX)
     with pytest.raises(ValueError, match="amplified_index must be an integer"):
-        DistillScenario(scenario1(), ChannelSpec(5.0), NlaSpec("QS", 1, 0.5),
-                        "unfiltered", amplified_index=amplified_index)
+        apply_strategy(lossy, NlaSpec("QS", 1, 0.5), "unfiltered",
+                       amplified_index=amplified_index)
 
 
 def test_truncation_guard_on_source():
@@ -509,11 +497,10 @@ def test_truncation_guard_on_source():
 def cascade_compare(r, n_units, n_max):
     """Parallel then cascaded catalysis, each T-optimised on one lossless
     supermode pair: the two distill points of a cascade-compare row pair."""
-    pdc, lossless = PdcSpec(np.ones(1), r), ChannelSpec(0.0)
-    lossy = lossy_pdc_densities(pdc, lossless, n_max)
-    return tuple(maximize_total_logneg(
-        DistillScenario(pdc, lossless, NlaSpec(kind, n_units, 0.5)), lossy)
-        for kind in ("PC", "CascadedPC"))
+    lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), ChannelSpec(0.0),
+                                n_max)
+    return tuple(maximize_total_logneg(lossy, kind, n_units)
+                 for kind in ("PC", "CascadedPC"))
 
 
 def test_cascade_compare_single_unit_arrangements_coincide():

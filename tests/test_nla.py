@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nlasim.fock import (NormalizationError, TruncationError,
                          attenuator_diagonal, coherent_state)
-from nlasim.nla import (VALID_KINDS, AmplifyResult, NlaSpec,
+from nlasim.nla import (VALID_KINDS, AmplifyResult, NlaSpec, _herald,
                         _passive_diagonal, amplify_coherent,
                         equal_gain_transmissivity, fidelity_to_coherent,
                         nla_diagonal, pc_gain, pc_nla_diagonal, qs_gain,
@@ -281,13 +281,23 @@ def test_pc_diagonal_large_unit_count_stable():
 def test_amplify_single_scissors_by_hand():
     alpha, t, n_max = 0.3, 0.35, 20
     res = amplify_coherent(alpha, NlaSpec("QS", 1, t), n_max)
-    psi = coherent_state(alpha, n_max).amps
+    psi = coherent_state(alpha, n_max)
     unnorm = np.zeros(n_max + 1, dtype=complex)
     unnorm[0] = math.sqrt(t) * psi[0]
     unnorm[1] = math.sqrt(1 - t) * psi[1]
     prob = float(np.vdot(unnorm, unnorm).real)
     assert res.success_prob == pytest.approx(prob, rel=1e-13)
-    assert np.abs(res.out_state.amps - unnorm / math.sqrt(prob)).max() < 1e-13
+    assert np.abs(res.out_state - unnorm / math.sqrt(prob)).max() < 1e-13
+
+
+def test_herald_rejects_non_finite_amplitudes():
+    # an infinite coefficient passes the probability check (prob = inf > 0)
+    # and leaves inf / inf = nan in the output; a nan amplitude leaves nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="amps must be finite"):
+            _herald(np.array([1.0, math.inf]), coherent_state(0.3, 1, 0.1))
+        with pytest.raises(ValueError, match="amps must be finite"):
+            _herald(np.ones(2), np.array([0.6, math.nan], dtype=complex))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlasim.distill import (DistillScenario, PdcSpec, apply_strategy,
-                            lossy_pdc_densities)
+from nlasim.distill import PdcSpec, apply_strategy, lossy_pdc_densities
 from nlasim import fock, nla, optimize
 from nlasim.fock import ChannelSpec, TruncationError, coherent_state
 from nlasim.nla import VALID_KINDS, NlaSpec, amplify_coherent
@@ -108,6 +107,26 @@ def test_sweep_objective_trace_and_success():
 def test_non_finite_objective_rejected():
     with pytest.raises(ValueError):
         maximize_over_T(lambda t: math.inf if t > 0.5 else t, FAST)
+
+
+@pytest.mark.parametrize("tolerance", (1e-17, 1e-300))
+def test_refinement_stops_below_float_resolution(tolerance):
+    # near T = 0.3 adjacent floats are 5.6e-17 apart, so the bracket stops
+    # shrinking before it reaches either tolerance; the objective raises
+    # rather than let a search that never ends hang the test
+    calls = []
+
+    def objective(t):
+        calls.append(t)
+        if len(calls) > 10_000:
+            raise RuntimeError("refinement did not stop")
+        return -(t - 0.3) ** 2
+
+    record = []
+    cfg = SweepConfig(grid_points=10, refine_tolerance=tolerance)
+    t_star, v_star = maximize_over_T(objective, cfg, record=record)
+    assert abs(t_star - 0.3) < 1e-15
+    assert v_star == max(v for _, v in record)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -323,22 +342,56 @@ def test_max_fidelity_profile_output_guard_precedes_target_tail():
 # distillation search
 
 def test_maximize_total_logneg_consistent_with_distill():
-    pdc = PdcSpec.from_scenario(1, 5.0)
-    sc = DistillScenario(pdc, ChannelSpec(8.0), NlaSpec("QS", 2, 0.5))
+    lossy = lossy_pdc_densities(PdcSpec.from_scenario(1, 5.0),
+                                ChannelSpec(8.0), 20)
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
-    lossy = lossy_pdc_densities(sc.pdc, sc.channel, 20)
-    best = maximize_total_logneg(sc, lossy, cfg)
+    best = maximize_total_logneg(lossy, "QS", 2, config=cfg)
     assert best.optimal_t is not None
     redo = apply_strategy(lossy, NlaSpec("QS", 2, best.optimal_t))
-    assert best.total_logneg == pytest.approx(redo.total_logneg, rel=1e-12)
-    assert best.success_prob == pytest.approx(redo.success_prob, rel=1e-12)
+    assert best.total_logneg == redo.total_logneg
+    assert best.success_prob == redo.success_prob
+    assert np.array_equal(best.per_supermode_logneg,
+                          redo.per_supermode_logneg)
+
+
+@pytest.mark.parametrize("t_min, t_max, optimum", ((1e-4, 0.3, "refined"),
+                                                   (0.5, 0.9999, "grid")))
+def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
+                                                  optimum):
+    # the result at t_star is the one the search computed, not a rerun,
+    # whether t_star is a refinement T or, above T = 0.5 where the log-
+    # negativity rises to the region's edge, the grid's first maximum
+    lossy = lossy_pdc_densities(PdcSpec.from_scenario(2, 5.0, k_modes=3),
+                                ChannelSpec(8.0), 20)
+    scored, records = [], []
+
+    def spy_apply(lossy, nla, *receiver):
+        scored.append(nla.transmissivity)
+        return apply_strategy(lossy, nla, *receiver)
+
+    def spy_search(objective, config=None, record=None):
+        records.append([])
+        return maximize_over_T(objective, config, records[-1])
+
+    monkeypatch.setattr(optimize, "apply_strategy", spy_apply)
+    monkeypatch.setattr(optimize, "maximize_over_T", spy_search)
+    cfg = SweepConfig(t_min, t_max, grid_points=8, refine_tolerance=1e-3)
+    best = maximize_total_logneg(lossy, "PC", 2, "filtered", 2, cfg)
+    (record,) = records
+    assert scored == [t for t, _ in record]
+    on_grid = best.optimal_t in [float(t) for t in cfg.t_grid]
+    assert on_grid == (optimum == "grid")
+    assert (best.optimal_t, best.total_logneg) in record
+    redo = apply_strategy(lossy, NlaSpec("PC", 2, best.optimal_t),
+                          "filtered", 2)
+    assert best.total_logneg == redo.total_logneg
+    assert best.success_prob == redo.success_prob
 
 
 def test_maximize_total_logneg_beats_fixed_choice():
-    pdc = PdcSpec.from_scenario(1, 5.0)
-    sc = DistillScenario(pdc, ChannelSpec(8.0), NlaSpec("QS", 2, 0.5))
+    lossy = lossy_pdc_densities(PdcSpec.from_scenario(1, 5.0),
+                                ChannelSpec(8.0), 20)
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
-    lossy = lossy_pdc_densities(sc.pdc, sc.channel, 20)
-    best = maximize_total_logneg(sc, lossy, cfg)
-    fixed = apply_strategy(lossy, sc.nla)
+    best = maximize_total_logneg(lossy, "QS", 2, config=cfg)
+    fixed = apply_strategy(lossy, NlaSpec("QS", 2, 0.5))
     assert best.total_logneg >= fixed.total_logneg - 1e-12
