@@ -290,6 +290,13 @@ def test_amplify_single_scissors_by_hand():
     assert np.abs(res.out_state - unnorm / math.sqrt(prob)).max() < 1e-13
 
 
+def test_herald_rejects_a_squared_norm_past_one():
+    # a herald probability of 6.25e-324 rounds to the smallest subnormal,
+    # 4.9e-324, so dividing by its root leaves a norm well past 1
+    with pytest.raises(NormalizationError, match="squared norm .* exceeds 1"):
+        _herald(np.ones(1), np.array([2.5e-162], dtype=complex))
+
+
 def test_herald_rejects_non_finite_amplitudes():
     # an infinite coefficient passes the probability check (prob = inf > 0)
     # and leaves inf / inf = nan in the output; a nan amplitude leaves nan
