@@ -1,8 +1,8 @@
 """Scalar searches over the amplifier transmissivity.
 
-All searches are deterministic: a fixed coarse grid locates the best basin,
-golden-section refines it, and the reported optimum is never worse than any
-point actually evaluated.  Ties break toward the lowest transmissivity.
+All searches are deterministic: each samples a fixed coarse grid, then
+:func:`refine` golden-sections around its first maximum.  The optimum is never
+worse than any point evaluated; ties break toward the lowest transmissivity.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .distill import apply_strategy
 from .fock import coherent_state
-from .nla import NlaSpec, _herald, _target_sign, nla_diagonal
+from .nla import NlaSpec, _herald, _integer, _target_sign, nla_diagonal
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -31,10 +31,10 @@ class SweepConfig:
     def __post_init__(self):
         if not 0.0 < self.t_min < self.t_max < 1.0:
             raise ValueError("need 0 < t_min < t_max < 1")
-        if self.grid_points < 3:
+        if _integer(self.grid_points, "grid_points") < 3:
             raise ValueError("grid_points must be >= 3")
-        if self.refine_tolerance <= 0.0:
-            raise ValueError("refine_tolerance must be positive")
+        if not 0.0 < self.refine_tolerance < math.inf:
+            raise ValueError("refine_tolerance must be positive and finite")
 
     @property
     def t_grid(self) -> np.ndarray:
@@ -42,52 +42,64 @@ class SweepConfig:
         return np.linspace(self.t_min, self.t_max, self.grid_points)
 
 
-def maximize_over_T(objective, config: SweepConfig | None = None,
-                    record: list | None = None):
-    """Coarse grid plus golden-section refinement of a scalar objective.
+def _finite(t: float, v) -> float:
+    """``v`` as a float; every search raises here on a non-finite value."""
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"objective returned non-finite value {v} at T={t}")
+    return v
+
+
+def refine(objective, values, config: SweepConfig):
+    """Golden-section search between the grid neighbours of the first
+    maximum of ``values``, the objective's values on ``config.t_grid``.
 
     Returns ``(t_star, value_star)``; the value is at least as good as every
-    grid sample.  ``record``, when given, collects all (t, value) pairs in
-    evaluation order.  Refinement stops at ``refine_tolerance`` or where the
+    grid sample.  Refinement stops at ``refine_tolerance`` or where the
     bracket stops shrinking, its ends adjacent floats, whichever comes first.
     """
-    cfg = config or SweepConfig()
-
-    def f(t: float) -> float:
-        v = float(objective(t))
-        if not math.isfinite(v):
-            raise ValueError(f"objective returned non-finite value {v} "
-                             f"at T={t}")
-        if record is not None:
-            record.append((t, v))
-        return v
-
-    ts = cfg.t_grid
-    vals = np.array([f(t) for t in ts])
-    i = int(np.argmax(vals))            # first max -> lowest-T tie-break
-    best_t, best_v = float(ts[i]), float(vals[i])
+    ts = config.t_grid
+    i = int(np.argmax(values))          # first max -> lowest-T tie-break
+    best_t, best_v = float(ts[i]), float(values[i])
 
     lo = float(ts[max(i - 1, 0)])
     hi = float(ts[min(i + 1, len(ts) - 1)])
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = objective(c), objective(d)
     width = math.inf
-    while width > b - a > cfg.refine_tolerance:
+    while width > b - a > config.refine_tolerance:
         width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = f(c)
+            fc = objective(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = f(d)
+            fd = objective(d)
     for t, v in ((c, fc), (d, fd)):
         if v > best_v:
             best_t, best_v = float(t), float(v)
     return best_t, best_v
+
+
+def maximize_over_T(objective, config: SweepConfig | None = None,
+                    record: list | None = None):
+    """Coarse grid plus golden-section refinement of a scalar objective:
+    :func:`refine` on its samples of ``config.t_grid``, taken in order.
+    ``record``, when given, collects all (t, value) pairs in evaluation order.
+    """
+    cfg = config or SweepConfig()
+
+    def f(t: float) -> float:
+        v = _finite(t, objective(t))
+        if record is not None:
+            record.append((t, v))
+        return v
+
+    return refine(f, [f(t) for t in cfg.t_grid], cfg)
 
 
 def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
@@ -101,13 +113,12 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
 
     The coarse grid runs T-major: each grid T gets one diagonal for every
     row and one herald step for each alpha, dropped before the next T, and
-    each row keeps one float per grid T.  Each row then runs its own search,
-    which reads its grid values back and refines with diagonals of its own.
-    A row makes the evaluations it would make alone, in the same order,
-    with the guards in amplify_coherent's order (the kind and N, the input
-    tail, the herald probability, the output top bin, the target tail); a
-    guard that trips is not remembered, so each row gives the bits and the
-    exception it would give alone.
+    each row keeps one float per grid T.  Each row then calls :func:`refine`
+    on its grid values, with diagonals of its own.  A row makes the
+    evaluations it would make alone, with the guards in amplify_coherent's
+    order (the kind and N, the input tail, the herald probability, the
+    output top bin, the target tail); a guard that trips is not remembered,
+    so each row gives the bits and the exception it would give alone.
     """
     cfg = config or SweepConfig()
     ts = cfg.t_grid
@@ -139,10 +150,9 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
             return built[0]
         return diagonal
 
-    # grid values of each row, up to its first failure or non-finite value
+    # grid values of each row, up to its first failure
     values = np.empty((len(rows), len(ts)))
-    done = [0] * len(rows)
-    failures = [None] * len(rows)
+    outcomes = [None] * len(rows)       # result or exception, per row
     grid_best = [None] * len(rows)      # (value, prob) at the first maximum
     live = list(range(len(rows)))
     for j, t in enumerate(ts):
@@ -150,42 +160,27 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
         for r in live:
             try:
                 v, prob = evaluate(r, t, diagonal, heralds)
+                values[r, j] = _finite(t, v)
             except Exception as exc:    # the row's outcome, not the group's
-                failures[r] = exc.with_traceback(None)
+                outcomes[r] = exc.with_traceback(None)
                 continue
-            values[r, j] = v
-            done[r] = j + 1
             if grid_best[r] is None or v > grid_best[r][0]:
                 grid_best[r] = (v, prob)
-        live = [r for r in live if failures[r] is None
-                and math.isfinite(values[r, j])]
-        if not live:
-            break
+        live = [r for r in live if outcomes[r] is None]
 
-    outcomes = []
-    for r in range(len(rows)):
-        calls = 0
+    for r in live:
         refined = {}                    # refine T -> herald probability
 
         def objective(t: float) -> float:
-            # maximize_over_T samples the grid, in order, before refining
-            nonlocal calls
-            j, calls = calls, calls + 1
-            if j < len(ts):
-                if j < done[r]:
-                    return values[r, j]
-                raise failures[r]
-            v, prob = evaluate(r, t, builder(t), {})
-            refined[t] = prob
-            return v
+            v, refined[t] = evaluate(r, t, builder(t), {})
+            return _finite(t, v)
 
         try:
-            t_star, f_star = maximize_over_T(objective, cfg)
+            t_star, f_star = refine(objective, values[r], cfg)
+            prob = refined.get(t_star, grid_best[r][1])
+            outcomes[r] = (t_star, f_star, prob)
         except Exception as exc:
-            outcomes.append(exc.with_traceback(None))
-            continue
-        prob = refined.get(t_star, grid_best[r][1])
-        outcomes.append((t_star, f_star, prob))
+            outcomes[r] = exc.with_traceback(None)
     return outcomes
 
 
@@ -216,20 +211,24 @@ def maximize_total_logneg(lossy: np.ndarray, kind: str, n_units: int,
     ``optimal_t`` set.
     """
     cfg = config or SweepConfig()
-    # T -> result at each T that can be t_star: the grid's first maximum,
-    # then every refine T, so memory does not grow with grid_points
-    kept, top, calls = {}, -math.inf, 0
 
-    def objective(t: float) -> float:
-        nonlocal kept, top, calls
+    def score(t: float):
         res = apply_strategy(lossy, NlaSpec(kind, n_units, t), strategy,
                              amplified_index)
-        calls += 1
-        if calls > cfg.grid_points:
-            kept[t] = res
-        elif res.total_logneg > top:
-            kept, top = {t: res}, res.total_logneg
-        return res.total_logneg
+        return _finite(t, res.total_logneg), res
 
-    t_star, _ = maximize_over_T(objective, cfg)
+    # T -> result at each T that can be t_star: the grid's first maximum,
+    # then every refine T, so memory does not grow with grid_points
+    kept, values, top = {}, [], -math.inf
+    for t in cfg.t_grid:
+        v, res = score(t)
+        values.append(v)
+        if v > top:
+            kept, top = {t: res}, v
+
+    def objective(t: float) -> float:
+        v, kept[t] = score(t)
+        return v
+
+    t_star, _ = refine(objective, values, cfg)
     return replace(kept[t_star], optimal_t=t_star)

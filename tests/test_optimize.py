@@ -49,6 +49,13 @@ def test_sweep_config_validation():
         SweepConfig(grid_points=2)
     with pytest.raises(ValueError):
         SweepConfig(refine_tolerance=0.0)
+    # a non-finite tolerance would stop refinement after its first two points
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SweepConfig(refine_tolerance=tolerance)
+    for grid_points in (10.0, 10.5):
+        with pytest.raises(ValueError):
+            SweepConfig(grid_points=grid_points)
 
 
 def test_quadratic_peak_located():
@@ -77,6 +84,38 @@ def test_returned_value_never_below_grid_samples(terms, damping, cfg):
     assert grid == list(cfg.t_grid)
     assert v_star >= max(v for _, v in record)
     assert (t_star, v_star) in record
+
+
+def _recorded(objective, record):
+    def f(t):
+        v = objective(t)
+        record.append((t, v))
+        return v
+    return f
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(objectives=st.lists(st.tuples(WAVES, DAMPINGS), min_size=1,
+                           max_size=4),
+       cfg=SWEEP_CONFIGS, reverse=st.booleans())
+def test_refine_on_grid_values_matches_maximize_over_T(objectives, cfg,
+                                                       reverse):
+    # the group search samples its rows' grids T-major and then refines each
+    # row; refine must not care in which order the grid values were taken
+    objectives = [damped_waves(terms, damping)
+                  for terms, damping in objectives]
+    grid = list(enumerate(cfg.t_grid))
+    values = np.empty((len(objectives), len(grid)))
+    for j, t in (grid[::-1] if reverse else grid):
+        for k, objective in enumerate(objectives):
+            values[k, j] = objective(t)
+    for objective, row in zip(objectives, values):
+        record, refined = [], []
+        expected = maximize_over_T(objective, cfg, record=record)
+        got = optimize.refine(_recorded(objective, refined), row, cfg)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert np.array(refined).tobytes() == \
+            np.array(record[cfg.grid_points:]).tobytes()
 
 
 def test_record_collects_all_evaluations():
@@ -260,14 +299,19 @@ def _spy_on_builds(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy(name, original))
     records = []
-    search = optimize.maximize_over_T
-
-    def recorded(objective, config=None):
-        records.append([])
-        return search(objective, config, record=records[-1])
-
-    monkeypatch.setattr(optimize, "maximize_over_T", recorded)
+    monkeypatch.setattr(optimize, "refine", _spy_on_refine(records))
     return calls, records
+
+
+def _spy_on_refine(records):
+    """optimize.refine that appends each search's record to ``records``: its
+    grid (t, value) pairs, then its refinement evaluations."""
+    search = optimize.refine
+
+    def recorded(objective, values, config):
+        records.append(list(zip(config.t_grid, values)))
+        return search(_recorded(objective, records[-1]), values, config)
+    return recorded
 
 
 @pytest.mark.parametrize("kind", VALID_KINDS)
@@ -354,14 +398,19 @@ def test_maximize_total_logneg_consistent_with_distill():
                           redo.per_supermode_logneg)
 
 
-@pytest.mark.parametrize("t_min, t_max, optimum", ((1e-4, 0.3, "refined"),
-                                                   (0.5, 0.9999, "grid")))
+@pytest.mark.parametrize("t_min, t_max, optimum, r1_db", (
+    pytest.param(1e-4, 0.3, "refined", 5.0, id="0.0001-0.3-refined"),
+    pytest.param(0.5, 0.9999, "grid", 5.0, id="0.5-0.9999-grid"),
+    # a few-ulp region: the 8-point grid holds 5 distinct floats
+    pytest.param(0.05, 0.05 + 3e-17, "grid", 5.0, id="few-ulps-grid"),
+    # a vacuum source scores 0.0 at every T
+    pytest.param(0.2, 0.8, "grid", 0.0, id="flat-grid")))
 def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
-                                                  optimum):
+                                                  optimum, r1_db):
     # the result at t_star is the one the search computed, not a rerun,
     # whether t_star is a refinement T or, above T = 0.5 where the log-
     # negativity rises to the region's edge, the grid's first maximum
-    lossy = lossy_pdc_densities(PdcSpec.from_scenario(2, 5.0, k_modes=3),
+    lossy = lossy_pdc_densities(PdcSpec.from_scenario(2, r1_db, k_modes=3),
                                 ChannelSpec(8.0), 20)
     scored, records = [], []
 
@@ -369,12 +418,8 @@ def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
         scored.append(nla.transmissivity)
         return apply_strategy(lossy, nla, *receiver)
 
-    def spy_search(objective, config=None, record=None):
-        records.append([])
-        return maximize_over_T(objective, config, records[-1])
-
     monkeypatch.setattr(optimize, "apply_strategy", spy_apply)
-    monkeypatch.setattr(optimize, "maximize_over_T", spy_search)
+    monkeypatch.setattr(optimize, "refine", _spy_on_refine(records))
     cfg = SweepConfig(t_min, t_max, grid_points=8, refine_tolerance=1e-3)
     best = maximize_total_logneg(lossy, "PC", 2, "filtered", 2, cfg)
     (record,) = records
