@@ -58,9 +58,9 @@ from . import distill, fock, nla, oracle
 from .distill import (DEFAULT_DECAY, DEFAULT_SUPERMODES, PdcSpec,
                       _gaussian_log_negativities, _log_negativities,
                       apply_strategy, lossy_pdc_densities, reference_no_nla)
-from .fock import (ChannelSpec, NormalizationError, TruncationError,
-                   squeezing_from_db)
-from .nla import VALID_KINDS, NlaSpec
+from .fock import (NormalizationError, TruncationError, squeezing_from_db,
+                   transmissivity_from_db)
+from .nla import VALID_KINDS
 from .optimize import (SweepConfig, max_fidelity_profiles,
                        maximize_total_logneg)
 
@@ -83,7 +83,7 @@ class ConfigError(ValueError):
 # apply before any work, and hands them to the runners: outside verify
 # params["optimizer"] is a SweepConfig; for distill, cascade-compare and
 # sweep, "pdc" is the source, "receiver" its (strategy, amplified_index) and
-# "points" one (ChannelSpec, kind, n_units) per row (two per N for cascade).
+# "points" one (attenuation_db, kind, n_units) per row (two per N, cascade).
 
 _ABSENT = object()      # default of an optional key that has none
 
@@ -254,7 +254,9 @@ def _build_domain(experiment: str, p: dict) -> None:
         else:
             grid = [(p["attenuation_db"], p["kind"], p["n_units"])]
         receiver = (p["strategy"], p["amplified_index"])
-    p["points"] = tuple((ChannelSpec(db), k, n) for db, k, n in grid)
+    if any(db < 0 for db, _, _ in grid):
+        raise ValueError("attenuation_db must be finite and >= 0")
+    p["points"] = tuple(grid)
     distill._check_receiver(*receiver, pdc.lambdas.size)
     p["pdc"], p["receiver"] = pdc, receiver
 
@@ -276,8 +278,8 @@ def build_experiment(experiment: str, raw: dict, **flags) -> dict:
 # ---------------------------------------------------------------------------
 # worker tasks (module-level, picklable)
 
-def _distill_point(pdc, channel, kind, n_units, receiver, n_max, sweep):
-    lossy = lossy_pdc_densities(pdc, channel, n_max)
+def _distill_point(pdc, eta, kind, n_units, receiver, n_max, sweep):
+    lossy = lossy_pdc_densities(pdc, eta, n_max)
     best = maximize_total_logneg(lossy, kind, n_units, *receiver,
                                  config=sweep)
     ref = reference_no_nla(lossy)
@@ -329,37 +331,41 @@ def run_amplify(p: dict):
     return header, rows
 
 
+def _distill_points(p: dict):
+    """Each point's ``(attenuation_db, eta, kind, n_units)`` with its
+    ``_distill_point`` result."""
+    points = [(db, transmissivity_from_db(db), k, n)
+              for db, k, n in p["points"]]
+    tasks = [(p["pdc"], eta, k, n, p["receiver"], p["n_max"], p["optimizer"])
+             for _, eta, k, n in points]
+    return zip(points, _fan_out(_distill_point, tasks, p["workers"]))
+
+
 def run_distill(p: dict):
-    tasks = [(p["pdc"], *row, p["receiver"], p["n_max"], p["optimizer"])
-             for row in p["points"]]
-    results = _fan_out(_distill_point, tasks, p["workers"])
     header = ["attenuation_db", "eta", "scenario", "strategy", "kind",
               "n_units", "n_max", "optimal_t", "total_logneg",
               "success_prob", "reference_logneg"]
-    rows = [[ch.attenuation_db, ch.eta, p["scenario"], p["strategy"], k, n,
-             p["n_max"], t, e, pr, ref]
-            for (ch, k, n), (t, e, pr, ref) in zip(p["points"], results)]
+    rows = [[db, eta, p["scenario"], p["strategy"], k, n, p["n_max"], *res]
+            for (db, eta, k, n), res in _distill_points(p)]
     return header, rows
 
 
 def run_cascade_compare(p: dict):
-    tasks = [(p["pdc"], *row, p["receiver"], p["n_max"], p["optimizer"])
-             for row in p["points"]]
-    results = _fan_out(_distill_point, tasks, p["workers"])
     header = ["r_db", "n_units", "arrangement", "n_max", "optimal_t",
               "total_logneg", "success_prob"]
     label = {"PC": "parallel", "CascadedPC": "cascaded"}
     rows = [[p["r_db"], n, label[k], p["n_max"], t, e, pr]
-            for (_, k, n), (t, e, pr, _) in zip(p["points"], results)]
+            for (_, _, k, n), (t, e, pr, _) in _distill_points(p)]
     return header, rows
 
 
 def run_sweep(p: dict):
     """Emit the raw per-T objective surface for one distillation point."""
-    ((channel, kind, n_units),) = p["points"]
-    lossy = lossy_pdc_densities(p["pdc"], channel, p["n_max"])
+    ((db, kind, n_units),) = p["points"]
+    lossy = lossy_pdc_densities(p["pdc"], transmissivity_from_db(db),
+                                p["n_max"])
     ts = p["optimizer"].t_grid
-    tasks = [(lossy, NlaSpec(kind, n_units, t), *p["receiver"]) for t in ts]
+    tasks = [(lossy, kind, n_units, t, *p["receiver"]) for t in ts]
     results = _fan_out(apply_strategy, tasks, p["workers"])
     header = ["attenuation_db", "kind", "n_units", "n_max", "t",
               "total_logneg", "success_prob"]

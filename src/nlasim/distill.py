@@ -22,9 +22,9 @@ from typing import Literal
 
 import numpy as np
 
-from .fock import (ChannelSpec, NormalizationError, guard_truncation,
-                   squeezing_from_db, tmsv_schmidt)
-from .nla import NlaSpec, _integer, _passive_diagonal, nla_diagonal
+from .fock import (NormalizationError, guard_truncation, squeezing_from_db,
+                   tmsv_schmidt)
+from .nla import NlaKind, _integer, _passive_diagonal, nla_diagonal
 
 Strategy = Literal["unfiltered", "filtered"]
 
@@ -113,9 +113,9 @@ class DistillResult:
     optimal_t: float | None = None
 
 
-def lossy_pdc_densities(spec: PdcSpec, channel: "ChannelSpec | float",
-                        n_max: int, tail_tol: float = 1e-10) -> np.ndarray:
-    """Photon-number-graded supermode states after the lossy channel on arm B.
+def lossy_pdc_densities(spec: PdcSpec, eta: float, n_max: int,
+                        tail_tol: float = 1e-10) -> np.ndarray:
+    """Photon-number-graded supermode states after loss ``eta`` on arm B.
 
     Loss on arm B leaves the two-mode squeezed vacuum sum_n c_n |n, n> a
     mixture, over the lost-photon number l, of the vectors
@@ -124,7 +124,6 @@ def lossy_pdc_densities(spec: PdcSpec, channel: "ChannelSpec | float",
     (K, n_max+1, n_max+1) stack of ``amp``, one slice per supermode; the
     formula is exact for vacuum supermodes and eta = 1 too.
     """
-    eta = channel.eta if isinstance(channel, ChannelSpec) else float(channel)
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     c = np.array([tmsv_schmidt(r, n_max, tail_tol) for r in spec.squeezings])
@@ -209,8 +208,8 @@ def _gaussian_log_negativities(amp: np.ndarray) -> np.ndarray:
     return lognegs
 
 
-def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
-                   strategy: Strategy = "unfiltered",
+def apply_strategy(lossy: np.ndarray, kind: NlaKind, n_units: int,
+                   transmissivity: float, strategy: Strategy = "unfiltered",
                    amplified_index: int = 1) -> DistillResult:
     """Amplify one supermode of the pre-computed lossy source and score it.
 
@@ -221,10 +220,11 @@ def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
     sum of their squares.  The amplified supermode and the filtered
     bystanders are scored on their truncated amplitudes; the unfiltered
     bystanders, which the circuit attenuates or vacuum-projects, in closed
-    form (:func:`_gaussian_log_negativities`).  An unknown strategy or an
-    index that is not an integer in [1, K] raises ValueError.
+    form (:func:`_gaussian_log_negativities`).  A bad amplifier, then an
+    unknown strategy or an index not an integer in [1, K], is a ValueError.
     """
     k_modes, dim, _ = lossy.shape
+    diagonal = nla_diagonal(kind, n_units, transmissivity, dim - 1)
     _check_receiver(strategy, amplified_index, k_modes)
     target = amplified_index - 1
     coeffs = np.ones((k_modes, dim))
@@ -233,10 +233,10 @@ def apply_strategy(lossy: np.ndarray, nla: NlaSpec,
         heralded = [target]
     else:
         heralded = range(k_modes)
-        coeffs[:] = _passive_diagonal(nla, dim - 1)
+        coeffs[:] = _passive_diagonal(kind, n_units, transmissivity, dim - 1)
         bystanders[:] = True
         bystanders[target] = False
-    coeffs[target] = nla_diagonal(nla, dim - 1)
+    coeffs[target] = diagonal
     acted = lossy * coeffs[:, None, :]
     prob = 1.0
     for i in heralded:

@@ -91,21 +91,6 @@ def attenuator_diagonal(transmissivity: float, n_max: int) -> np.ndarray:
     return math.sqrt(transmissivity) ** n
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Pure-loss channel specified by its attenuation in dB."""
-
-    attenuation_db: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.attenuation_db) or self.attenuation_db < 0:
-            raise ValueError("attenuation_db must be finite and >= 0")
-
-    @property
-    def eta(self) -> float:
-        return transmissivity_from_db(self.attenuation_db)
-
-
 def coherent_state(alpha: complex, n_max: int,
                    tail_tol: float = 1e-8) -> np.ndarray:
     """Coherent-state amplitudes e^(-|a|^2/2) a^n / sqrt(n!) up to ``n_max``.
@@ -263,13 +248,10 @@ def loss_kraus_operators(eta: float, n_max: int) -> np.ndarray:
 
 
 def apply_loss(rho: BipartiteDensity, arm: Arm,
-               channel: "ChannelSpec | float") -> BipartiteDensity:
-    """Pure-loss channel on one arm; trace preserving for any ``eta``.
-
-    ``channel`` may be a :class:`ChannelSpec` or a bare transmissivity in
-    [0, 1] (the latter admits the exact eta = 0 limit).
+               eta: float) -> BipartiteDensity:
+    """Pure-loss channel of transmissivity ``eta`` in [0, 1] on one arm;
+    trace preserving for any ``eta``, the exact eta = 0 limit included.
     """
-    eta = channel.eta if isinstance(channel, ChannelSpec) else float(channel)
     kraus = loss_kraus_operators(eta, rho.n_max)
     d = rho.arm_dim
     t = rho.matrix.reshape(d, d, d, d)

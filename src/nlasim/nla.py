@@ -60,21 +60,6 @@ def _transmissivity(t: float) -> float:
 
 
 @dataclass(frozen=True)
-class NlaSpec:
-    """Amplifier family, number of units N and internal transmissivity T."""
-
-    kind: NlaKind
-    n_units: int
-    transmissivity: float
-
-    def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise ValueError(f"kind must be one of {VALID_KINDS}")
-        object.__setattr__(self, "n_units", _unit_count(self.n_units))
-        _transmissivity(self.transmissivity)
-
-
-@dataclass(frozen=True)
 class AmplifyResult:
     """Heralded amplitudes, success probability and optional fidelity."""
 
@@ -182,29 +167,35 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     return np.clip(coeffs, -1.0, 1.0, out=coeffs)
 
 
-def nla_diagonal(spec: NlaSpec, n_max: int) -> np.ndarray:
-    """Closed-form diagonal for an amplifier specification; N catalysis
-    units in series are the one-unit diagonal raised to N."""
-    if spec.kind == "QS":
-        return qs_nla_diagonal(spec.n_units, spec.transmissivity, n_max)
-    if spec.kind == "PC":
-        return pc_nla_diagonal(spec.n_units, spec.transmissivity, n_max)
-    return pc_nla_diagonal(1, spec.transmissivity, n_max) ** spec.n_units
+def nla_diagonal(kind: NlaKind, n_units: int, transmissivity: float,
+                 n_max: int) -> np.ndarray:
+    """Closed-form diagonal of N = ``n_units`` units of ``kind`` at T; N
+    catalysis units in series are the one-unit diagonal raised to N.  The
+    one check of an amplifier: a bad kind, N or T is a ValueError."""
+    if kind == "QS":
+        return qs_nla_diagonal(n_units, transmissivity, n_max)
+    if kind == "PC":
+        return pc_nla_diagonal(n_units, transmissivity, n_max)
+    if kind == "CascadedPC":
+        n_units = _unit_count(n_units)
+        return pc_nla_diagonal(1, transmissivity, n_max) ** n_units
+    raise ValueError(f"kind must be one of {VALID_KINDS}")
 
 
-def _passive_diagonal(spec: NlaSpec, n_max: int) -> np.ndarray:
+def _passive_diagonal(kind: NlaKind, n_units: int, transmissivity: float,
+                      n_max: int) -> np.ndarray:
     """What the amplifier circuit does to modes it was not aimed at.
 
     The scissors herald passes only their vacuum.  The parallel catalysis
     circuit attenuates them by sqrt(T) per photon whatever N is, and a
     cascade by that unit attenuator to the N-th power.
     """
-    if spec.kind == "QS":
+    if kind == "QS":
         return vacuum_projection_diagonal(n_max)
-    unit = attenuator_diagonal(spec.transmissivity, n_max)
-    if spec.kind == "PC":
+    unit = attenuator_diagonal(transmissivity, n_max)
+    if kind == "PC":
         return unit
-    return unit ** spec.n_units
+    return unit ** n_units
 
 
 def fidelity_to_coherent(amps: np.ndarray, beta: complex) -> float:
@@ -213,13 +204,13 @@ def fidelity_to_coherent(amps: np.ndarray, beta: complex) -> float:
     return float(abs(np.vdot(target, amps)) ** 2)
 
 
-def _target_sign(spec: NlaSpec) -> float:
+def _target_sign(kind: NlaKind, n_units: int) -> float:
     # PC heralds onto the phase-flipped target; a cascade flips once per unit
-    if spec.kind == "QS":
+    if kind == "QS":
         return 1.0
-    if spec.kind == "PC":
+    if kind == "PC":
         return -1.0
-    return (-1.0) ** spec.n_units
+    return (-1.0) ** n_units
 
 
 def _herald(coeffs: np.ndarray,
@@ -246,7 +237,8 @@ def _herald(coeffs: np.ndarray,
     return out, prob
 
 
-def amplify_coherent(alpha: complex, spec: NlaSpec, n_max: int = 30,
+def amplify_coherent(alpha: complex, kind: NlaKind, n_units: int,
+                     transmissivity: float, n_max: int = 30,
                      target_gain: float | None = None) -> AmplifyResult:
     """Run one heralded amplifier on |alpha> and report the heralded output.
 
@@ -255,10 +247,10 @@ def amplify_coherent(alpha: complex, spec: NlaSpec, n_max: int = 30,
     amplified coherent target with the sign convention of the family
     (+g alpha for QS, -g alpha for PC, (-1)^N g alpha for the cascade).
     """
-    out, prob = _herald(nla_diagonal(spec, n_max),
+    out, prob = _herald(nla_diagonal(kind, n_units, transmissivity, n_max),
                         coherent_state(alpha, n_max))
     fid = None
     if target_gain is not None:
-        beta = _target_sign(spec) * target_gain * alpha
+        beta = _target_sign(kind, n_units) * target_gain * alpha
         fid = fidelity_to_coherent(out, beta)
     return AmplifyResult(out, prob, fid)

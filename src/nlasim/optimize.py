@@ -14,7 +14,7 @@ import numpy as np
 
 from .distill import apply_strategy
 from .fock import coherent_state
-from .nla import NlaSpec, _herald, _integer, _target_sign, nla_diagonal
+from .nla import _herald, _integer, _target_sign, nla_diagonal
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -116,39 +116,28 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
     each row keeps one float per grid T.  Each row then calls :func:`refine`
     on its grid values, with diagonals of its own.  A row makes the
     evaluations it would make alone, with the guards in amplify_coherent's
-    order (the kind and N, the input tail, the herald probability, the
-    output top bin, the target tail); a guard that trips is not remembered,
-    so each row gives the bits and the exception it would give alone.
+    order (the diagonal's kind, N, T and float range, the input tail, the
+    herald probability, the output top bin, the target tail); a guard that
+    trips is not remembered, so each row gives the bits and the exception
+    it would give alone.
     """
     cfg = config or SweepConfig()
     ts = cfg.t_grid
     inputs = {}                         # alpha -> input amplitudes
-    signs = [None] * len(rows)
     targets = [None] * len(rows)
 
-    def evaluate(r: int, t: float, diagonal, heralds: dict):
-        """Row r's fidelity and herald probability at T."""
+    def evaluate(r: int, diagonal: np.ndarray, heralds: dict):
+        """Row r's fidelity and herald probability under ``diagonal``."""
         alpha, gain = rows[r]
-        if signs[r] is None:
-            # the row's first T checks kind and N before any state
-            signs[r] = _target_sign(NlaSpec(kind, n_units, t))
         if alpha not in heralds:
             if alpha not in inputs:
                 inputs[alpha] = coherent_state(alpha, n_max)
-            heralds[alpha] = _herald(diagonal(), inputs[alpha])
+            heralds[alpha] = _herald(diagonal, inputs[alpha])
         out, prob = heralds[alpha]
         if targets[r] is None:
-            targets[r] = coherent_state(signs[r] * gain * alpha, n_max)
+            beta = _target_sign(kind, n_units) * gain * alpha
+            targets[r] = coherent_state(beta, n_max)
         return float(abs(np.vdot(targets[r], out)) ** 2), prob
-
-    def builder(t: float):
-        built = []
-
-        def diagonal() -> np.ndarray:
-            if not built:
-                built.append(nla_diagonal(NlaSpec(kind, n_units, t), n_max))
-            return built[0]
-        return diagonal
 
     # grid values of each row, up to its first failure
     values = np.empty((len(rows), len(ts)))
@@ -156,10 +145,12 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
     grid_best = [None] * len(rows)      # (value, prob) at the first maximum
     live = list(range(len(rows)))
     for j, t in enumerate(ts):
-        diagonal, heralds = builder(t), {}
+        diagonal, heralds = None, {}
         for r in live:
             try:
-                v, prob = evaluate(r, t, diagonal, heralds)
+                if diagonal is None:
+                    diagonal = nla_diagonal(kind, n_units, t, n_max)
+                v, prob = evaluate(r, diagonal, heralds)
                 values[r, j] = _finite(t, v)
             except Exception as exc:    # the row's outcome, not the group's
                 outcomes[r] = exc.with_traceback(None)
@@ -172,7 +163,8 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
         refined = {}                    # refine T -> herald probability
 
         def objective(t: float) -> float:
-            v, refined[t] = evaluate(r, t, builder(t), {})
+            diagonal = nla_diagonal(kind, n_units, t, n_max)
+            v, refined[t] = evaluate(r, diagonal, {})
             return _finite(t, v)
 
         try:
@@ -213,7 +205,7 @@ def maximize_total_logneg(lossy: np.ndarray, kind: str, n_units: int,
     cfg = config or SweepConfig()
 
     def score(t: float):
-        res = apply_strategy(lossy, NlaSpec(kind, n_units, t), strategy,
+        res = apply_strategy(lossy, kind, n_units, t, strategy,
                              amplified_index)
         return _finite(t, res.total_logneg), res
 

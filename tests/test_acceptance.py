@@ -20,8 +20,9 @@ import pytest
 from nlasim import fock, nla, oracle
 from nlasim.cli import main as cli_main
 from nlasim.distill import PdcSpec, lossy_pdc_densities, reference_no_nla
-from nlasim.fock import ChannelSpec, log_negativity, squeezing_from_db
-from nlasim.nla import NlaSpec, amplify_coherent, equal_gain_transmissivity
+from nlasim.fock import (log_negativity, squeezing_from_db,
+                         transmissivity_from_db)
+from nlasim.nla import amplify_coherent, equal_gain_transmissivity
 from nlasim.optimize import (SweepConfig, max_fidelity_profile,
                              maximize_total_logneg)
 
@@ -145,7 +146,7 @@ def test_criterion_05_asymptotic_amplification():
                                                 30, cfg)
             fids[kind] = f_star
         t_match = equal_gain_transmissivity("QS", gain)
-        prob = amplify_coherent(alpha, NlaSpec("QS", n_units, t_match),
+        prob = amplify_coherent(alpha, "QS", n_units, t_match,
                                 30).success_prob
         floor = t_match ** n_units * math.exp(-(1 - gain ** 2) * alpha ** 2)
         rel = abs(prob - floor) / floor
@@ -238,7 +239,7 @@ def _threshold_scan():
     diffs = {"QS": [], "PC": []}
     t0 = time.perf_counter()
     for db in range(31):
-        lossy = lossy_pdc_densities(pdc, ChannelSpec(float(db)), 20)
+        lossy = lossy_pdc_densities(pdc, transmissivity_from_db(float(db)), 20)
         ref = reference_no_nla(lossy).total_logneg
         for kind in ("QS", "PC"):
             best = maximize_total_logneg(lossy, kind, 2, config=cfg)
@@ -276,7 +277,7 @@ def test_criterion_10_deep_attenuation_floor():
     with timer() as tm:
         values = {}
         for db in (25.0, 35.0):
-            lossy = lossy_pdc_densities(pdc, ChannelSpec(db), 20)
+            lossy = lossy_pdc_densities(pdc, transmissivity_from_db(db), 20)
             best = maximize_total_logneg(lossy, "PC", 2, config=cfg)
             values[db] = best.total_logneg
         rel = abs(values[25.0] - values[35.0]) / values[25.0]
@@ -293,8 +294,7 @@ def test_criterion_10_deep_attenuation_floor():
 def cascade_compare(r, n_units, n_max):
     """Parallel then cascaded catalysis, each the T-optimised distill result
     on one lossless supermode pair (the cascade-compare rows)."""
-    lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), ChannelSpec(0.0),
-                                n_max)
+    lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), 1.0, n_max)
     return tuple(maximize_total_logneg(lossy, kind, n_units)
                  for kind in ("PC", "CascadedPC"))
 

@@ -392,6 +392,25 @@ def test_catalysis_sum_overflow_gives_exit_2(tmp_path, capsys):
     assert "N=2" in err and "integer division" not in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_catalysis_overflow_precedes_the_input_tail(tmp_path, capsys,
+                                                    workers):
+    # the row's catalysis sum leaves the float range at T 1e-300 and its
+    # input loses its tail past n_max 8: the diagonal is built first, as in
+    # a lone amplify_coherent, so the overflow is the guard reported
+    path = write_config(tmp_path, {"alphas": [2.5], "target_gains": [1.5],
+                                   "kinds": ["PC"], "n_units": [3],
+                                   "n_max": 8,
+                                   "optimizer": {"t_min": 1e-300,
+                                                 "t_max": 0.5,
+                                                 "grid_points": 4}})
+    assert main(["amplify", "--config", path, "--workers", workers]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical guard: catalysis sum with N=3 units at "
+                   "T=1e-300 exceeds the float range at n=2\n")
+
+
 def test_unknown_key_gives_exit_1(tmp_path, capsys):
     path = write_config(tmp_path, {"attenuations_db": [0.0], "zzz": 1})
     assert main(["distill", "--config", path]) == 1

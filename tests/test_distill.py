@@ -13,12 +13,12 @@ from nlasim.distill import (PdcSpec, _gaussian_log_negativities,
                             _log_negativities, apply_strategy,
                             lossy_pdc_densities, reference_no_nla,
                             scenario_lambdas)
-from nlasim.fock import (BipartiteDensity, ChannelSpec, TruncationError,
+from nlasim.fock import (BipartiteDensity, TruncationError,
                          apply_diagonal, apply_loss, attenuator_diagonal,
                          guard_truncation, log_negativity, squeezing_from_db,
                          tmsv_density, tmsv_schmidt,
                          transmissivity_from_db, vacuum_projection_diagonal)
-from nlasim.nla import VALID_KINDS, NlaSpec, nla_diagonal
+from nlasim.nla import VALID_KINDS, nla_diagonal
 from nlasim.optimize import maximize_total_logneg
 
 N_MAX = 20
@@ -33,23 +33,25 @@ def scenario1(r1_db=5.0):
 # dense reference: the Kraus loss channel, Fock-diagonal sandwich and dense
 # log-negativity of nlasim.fock, one supermode at a time
 
-def dense_source(pdc, channel, n_max):
-    return [apply_loss(tmsv_density(r, n_max), "B", channel)
+def dense_source(pdc, eta, n_max):
+    return [apply_loss(tmsv_density(r, n_max), "B", eta)
             for r in pdc.squeezings]
 
 
 def dense_strategy(dense, nla, strategy="unfiltered", amplified_index=1):
-    """(per-supermode log-negativities, herald probability) on dense states."""
+    """(per-supermode log-negativities, herald probability) on dense states,
+    under the amplifier ``nla`` = (kind, n_units, transmissivity)."""
     n_max = dense[0].n_max
-    if nla.kind == "QS":
+    kind, n_units, t = nla
+    if kind == "QS":
         passive = vacuum_projection_diagonal(n_max)
     else:
-        stages = nla.n_units if nla.kind == "CascadedPC" else 1
-        passive = attenuator_diagonal(nla.transmissivity ** stages, n_max)
+        stages = n_units if kind == "CascadedPC" else 1
+        passive = attenuator_diagonal(t ** stages, n_max)
     lognegs, prob = [], 1.0
     for i, rho in enumerate(dense):
         if i == amplified_index - 1:
-            op = nla_diagonal(nla, n_max)
+            op = nla_diagonal(*nla, n_max)
         elif strategy == "unfiltered":
             op = passive
         else:
@@ -139,7 +141,7 @@ def test_source_skips_loss_where_channel_cannot_act():
     # the closed form has no branch for a vacuum supermode or a lossless
     # channel; at every eta, 0 and 1 included, it is the dense Kraus sum
     pdc = PdcSpec.from_scenario(1, 5.0, k_modes=3)
-    for channel in (ChannelSpec(0.0), ChannelSpec(6.0), 1.0, 0.3, 0.0):
+    for channel in (1.0, transmissivity_from_db(6.0), 1.0, 0.3, 0.0):
         lossy = lossy_pdc_densities(pdc, channel, N_MAX)
         assert lossy.shape == (3, N_MAX + 1, N_MAX + 1)
         # inactive supermodes stay vacuum
@@ -164,8 +166,8 @@ def test_lossless_reference_matches_analytic():
 
 def test_reference_decays_with_attenuation():
     pdc = scenario1()
-    values = [reference_no_nla(lossy_pdc_densities(pdc, ChannelSpec(db),
-                                                   N_MAX)).total_logneg
+    values = [reference_no_nla(lossy_pdc_densities(
+                  pdc, transmissivity_from_db(db), N_MAX)).total_logneg
               for db in (0.0, 5.0, 10.0, 20.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(2 * squeezing_from_db(5.0) / math.log(2),
@@ -173,9 +175,10 @@ def test_reference_decays_with_attenuation():
 
 
 def test_channel_accepts_spec_or_float():
+    # 10 dB of attenuation is the transmissivity 0.1
     pdc = scenario1()
-    via_spec = reference_no_nla(lossy_pdc_densities(pdc, ChannelSpec(10.0),
-                                                    N_MAX))
+    via_spec = reference_no_nla(lossy_pdc_densities(
+        pdc, transmissivity_from_db(10.0), N_MAX))
     via_eta = reference_no_nla(lossy_pdc_densities(pdc, 0.1, N_MAX))
     assert via_spec.total_logneg == pytest.approx(via_eta.total_logneg,
                                                   rel=1e-12)
@@ -207,7 +210,7 @@ def random_slice(kind, d_a, d_b, rng):
         amp = rng.normal(size=(d_a, d_b))
         if kind == "interior_zero":
             # the catalysis diagonal with N 2, T 1/2 is exactly 0 at n 1
-            amp *= nla_diagonal(NlaSpec("PC", 2, 0.5), d_b - 1)
+            amp *= nla_diagonal("PC", 2, 0.5, d_b - 1)
     norm = np.linalg.norm(amp)
     return amp / norm if norm > 0.0 else amp
 
@@ -278,10 +281,11 @@ def test_eigensolve_covers_only_entangleable_support(monkeypatch):
         return eigvalsh(blocks)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    lossy = lossy_pdc_densities(scenario1(), ChannelSpec(5.0), N_MAX)
+    lossy = lossy_pdc_densities(scenario1(), transmissivity_from_db(5.0),
+                                N_MAX)
     # scissors with N 2 leave arm B of the amplified supermode 3 columns and
     # vacuum-project the four vacuum bystanders
-    apply_strategy(lossy, NlaSpec("QS", 2, 0.1))
+    apply_strategy(lossy, "QS", 2, 0.1)
     assert shapes == [(1, 23, 3, 3)]
     shapes.clear()
     reference_no_nla(lossy)
@@ -290,12 +294,12 @@ def test_eigensolve_covers_only_entangleable_support(monkeypatch):
     # five equal supermodes: unfiltered catalysis eigensolves only the
     # amplified slice and scores the four attenuated bystanders in closed
     # form; filtered, every slice keeps its full width
-    flat = lossy_pdc_densities(PdcSpec.from_scenario(3, 5.0), ChannelSpec(5.0),
-                               N_MAX)
-    apply_strategy(flat, NlaSpec("PC", 2, 0.1))
+    flat = lossy_pdc_densities(PdcSpec.from_scenario(3, 5.0),
+                               transmissivity_from_db(5.0), N_MAX)
+    apply_strategy(flat, "PC", 2, 0.1)
     assert shapes == [(1, 41, 21, 21)]
     shapes.clear()
-    apply_strategy(flat, NlaSpec("PC", 2, 0.1), "filtered")
+    apply_strategy(flat, "PC", 2, 0.1, "filtered")
     assert shapes == [(5, 41, 21, 21)]
     shapes.clear()
     # an all-vacuum source needs no eigensolve at all
@@ -313,12 +317,11 @@ def test_nlasim_distill_names_the_submodule():
 
 def test_success_prob_is_product_of_heralds():
     pdc = PdcSpec.from_scenario(2, 4.0, k_modes=3)
-    nla = NlaSpec("PC", 1, 0.2)
     lossy = lossy_pdc_densities(pdc, 1.0, N_MAX)
-    res = apply_strategy(lossy, nla, "unfiltered")
+    res = apply_strategy(lossy, "PC", 1, 0.2, "unfiltered")
     probs = []
     for i, rho in enumerate(dense_source(pdc, 1.0, N_MAX)):
-        op = nla_diagonal(nla, N_MAX) if i == 0 else \
+        op = nla_diagonal("PC", 1, 0.2, N_MAX) if i == 0 else \
             attenuator_diagonal(0.2, N_MAX)
         probs.append(apply_diagonal(rho, "B", op).trace_value)
     assert res.success_prob == pytest.approx(np.prod(probs), rel=1e-12)
@@ -326,16 +329,15 @@ def test_success_prob_is_product_of_heralds():
 
 def test_filtered_strategy_leaves_other_supermodes_alone():
     pdc = PdcSpec.from_scenario(2, 4.0, k_modes=3)
-    lossy = lossy_pdc_densities(pdc, ChannelSpec(2.0), N_MAX)
-    nla = NlaSpec("QS", 2, 0.2)
-    filtered = apply_strategy(lossy, nla, "filtered")
-    unfiltered = apply_strategy(lossy, nla, "unfiltered")
+    lossy = lossy_pdc_densities(pdc, transmissivity_from_db(2.0), N_MAX)
+    filtered = apply_strategy(lossy, "QS", 2, 0.2, "filtered")
+    unfiltered = apply_strategy(lossy, "QS", 2, 0.2, "unfiltered")
     # same amplified supermode either way
     assert filtered.per_supermode_logneg[0] == pytest.approx(
         unfiltered.per_supermode_logneg[0], rel=1e-12)
     # scissors herald destroys unfiltered bystanders, filter preserves them
     assert np.all(unfiltered.per_supermode_logneg[1:] == 0.0)
-    dense = dense_source(pdc, ChannelSpec(2.0), N_MAX)
+    dense = dense_source(pdc, transmissivity_from_db(2.0), N_MAX)
     want = [log_negativity(rho) for rho in dense[1:]]
     assert np.abs(filtered.per_supermode_logneg[1:] - want).max() < 1e-12
 
@@ -343,7 +345,7 @@ def test_filtered_strategy_leaves_other_supermodes_alone():
 def test_unfiltered_catalysis_attenuates_bystanders():
     pdc = PdcSpec.from_scenario(2, 4.0, k_modes=3)
     lossy = lossy_pdc_densities(pdc, 1.0, N_MAX)
-    res = apply_strategy(lossy, NlaSpec("PC", 2, 0.3), "unfiltered")
+    res = apply_strategy(lossy, "PC", 2, 0.3, "unfiltered")
     bare = [log_negativity(rho) for rho in dense_source(pdc, 1.0, N_MAX)[1:]]
     assert np.all(res.per_supermode_logneg[1:] > 0.0)
     assert np.all(res.per_supermode_logneg[1:] < bare)
@@ -358,10 +360,9 @@ def test_single_supermode_lossless_catalysis_matches_pure_state_form():
     c = tmsv_schmidt(pdc.squeezings[0], N_MAX)
     got = {}
     for t in (0.03, 0.08, 0.2, 0.5):
-        nla = NlaSpec("PC", 2, t)
-        a = c * nla_diagonal(nla, N_MAX)
+        a = c * nla_diagonal("PC", 2, t, N_MAX)
         want = 2 * math.log2(np.abs(a).sum() / np.linalg.norm(a))
-        got[t] = apply_strategy(lossy, nla).total_logneg
+        got[t] = apply_strategy(lossy, "PC", 2, t).total_logneg
         assert abs(got[t] - want) <= 1e-12
     # local filtering raises the entanglement of this pure state: with one
     # active supermode PC beats the reference already at a lossless channel
@@ -373,8 +374,8 @@ def test_single_supermode_lossless_catalysis_matches_pure_state_form():
 @given(scenario=st.sampled_from((1, 2, 3)),
        r1_db=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
        k_modes=st.integers(1, 4),
-       channel=st.one_of(st.just(0.0), st.just(ChannelSpec(0.0)),
-                         st.floats(0.0, 30.0).map(ChannelSpec)),
+       channel=st.one_of(st.just(0.0), st.just(1.0),
+                         st.floats(0.0, 30.0).map(transmissivity_from_db)),
        kind=st.sampled_from(VALID_KINDS), n_units=st.integers(1, 3),
        t=st.floats(1e-3, 0.999),
        strategy=st.sampled_from(("unfiltered", "filtered")),
@@ -384,28 +385,28 @@ def test_graded_path_matches_dense_reference(scenario, r1_db, k_modes,
                                              strategy, data):
     amplified_index = data.draw(st.integers(1, k_modes))
     pdc = PdcSpec.from_scenario(scenario, r1_db, k_modes)
-    nla = NlaSpec(kind, n_units, t)
+    nla = (kind, n_units, t)
     try:
         want, want_prob = dense_strategy(dense_source(pdc, channel, N_SMALL),
                                          nla, strategy, amplified_index)
     except ValueError as exc:       # truncation guard or vanished herald
         with pytest.raises(ValueError) as info:
-            apply_strategy(lossy_pdc_densities(pdc, channel, N_SMALL), nla,
+            apply_strategy(lossy_pdc_densities(pdc, channel, N_SMALL), *nla,
                            strategy, amplified_index)
         assert type(info.value) is type(exc)
         return
     lossy = lossy_pdc_densities(pdc, channel, N_SMALL)
-    got = apply_strategy(lossy, nla, strategy, amplified_index)
+    got = apply_strategy(lossy, *nla, strategy, amplified_index)
     # unfiltered catalysis bystanders are scored in the n_max -> inf limit,
     # which the truncated dense state reaches up to its tail; every other
     # slice is scored on the truncated amplitudes, as the dense reference
     target = amplified_index - 1
     tail = np.zeros(k_modes)
     if strategy == "unfiltered" and kind != "QS":
-        eta = channel.eta if isinstance(channel, ChannelSpec) else channel
         stages = n_units if kind == "CascadedPC" else 1
         tail = gaussian_tail_bound(
-            np.tanh(pdc.squeezings) * np.sqrt(1 - eta + eta * t ** stages),
+            np.tanh(pdc.squeezings)
+            * np.sqrt(1 - channel + channel * t ** stages),
             N_SMALL)
         tail[target] = 0.0
     assert np.all(np.abs(got.per_supermode_logneg - want) <= 1e-13 + tail)
@@ -416,7 +417,7 @@ def test_graded_path_matches_dense_reference(scenario, r1_db, k_modes,
     # probability by exactly 1: dropping it changes no bit
     keep = (pdc.squeezings != 0) | (np.arange(k_modes) == target)
     assert np.all(got.per_supermode_logneg[~keep] == 0.0)
-    without = apply_strategy(lossy[keep], nla, strategy,
+    without = apply_strategy(lossy[keep], *nla, strategy,
                              int(keep[:target].sum()) + 1)
     assert without.success_prob == got.success_prob
 
@@ -424,9 +425,9 @@ def test_graded_path_matches_dense_reference(scenario, r1_db, k_modes,
 def test_amplified_index_selects_supermode():
     pdc = PdcSpec.from_scenario(2, 4.0, k_modes=3)
     lossy = lossy_pdc_densities(pdc, 1.0, N_MAX)
-    r1 = apply_strategy(lossy, NlaSpec("PC", 1, 0.15), "filtered",
+    r1 = apply_strategy(lossy, "PC", 1, 0.15, "filtered",
                         amplified_index=1)
-    r2 = apply_strategy(lossy, NlaSpec("PC", 1, 0.15), "filtered",
+    r2 = apply_strategy(lossy, "PC", 1, 0.15, "filtered",
                         amplified_index=2)
     assert r1.per_supermode_logneg[0] != pytest.approx(
         r2.per_supermode_logneg[0], rel=1e-6)
@@ -435,12 +436,28 @@ def test_amplified_index_selects_supermode():
 
 
 def test_scenario_validation():
-    lossy = lossy_pdc_densities(scenario1(), ChannelSpec(5.0), N_MAX)
+    lossy = lossy_pdc_densities(scenario1(), transmissivity_from_db(5.0),
+                                N_MAX)
     with pytest.raises(ValueError, match="strategy must be"):
-        apply_strategy(lossy, NlaSpec("QS", 1, 0.5), "bogus")
+        apply_strategy(lossy, "QS", 1, 0.5, "bogus")
     with pytest.raises(ValueError, match="amplified_index must lie in"):
-        apply_strategy(lossy, NlaSpec("QS", 1, 0.5), "unfiltered",
+        apply_strategy(lossy, "QS", 1, 0.5, "unfiltered",
                        amplified_index=6)
+
+
+def test_apply_strategy_checks_the_amplifier_first():
+    lossy = lossy_pdc_densities(scenario1(), transmissivity_from_db(5.0),
+                                N_MAX)
+    # an unknown kind used to fall through to the cascade branch
+    with pytest.raises(ValueError, match="kind must be one of"):
+        apply_strategy(lossy, "XX", 1, 0.5)
+    # with a bad receiver too, the amplifier's error is the one reported
+    with pytest.raises(ValueError, match="kind must be one of"):
+        apply_strategy(lossy, "XX", 1, 0.5, "bogus")
+    # a bad T reports the amplifier's (0, 1) rule, not the attenuator's
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="strictly in"):
+            apply_strategy(lossy, "PC", 1, t, "bogus", 6)
 
 
 @pytest.mark.parametrize("strategy, amplified_index, message", (
@@ -460,16 +477,17 @@ def test_apply_strategy_validates_receiver(strategy, amplified_index,
     lossy = lossy_pdc_densities(PdcSpec.from_scenario(2, 4.0, k_modes=3),
                                 1.0, N_MAX)
     with pytest.raises(ValueError, match=message):
-        apply_strategy(lossy, NlaSpec("PC", 1, 0.15), strategy,
+        apply_strategy(lossy, "PC", 1, 0.15, strategy,
                        amplified_index)
 
 
 @pytest.mark.parametrize("amplified_index", (1.5, True, False, 2.0, "1"))
 def test_scenario_rejects_non_integer_index(amplified_index):
     # the same integer rule as the amplifier's unit count
-    lossy = lossy_pdc_densities(scenario1(), ChannelSpec(5.0), N_MAX)
+    lossy = lossy_pdc_densities(scenario1(), transmissivity_from_db(5.0),
+                                N_MAX)
     with pytest.raises(ValueError, match="amplified_index must be an integer"):
-        apply_strategy(lossy, NlaSpec("QS", 1, 0.5), "unfiltered",
+        apply_strategy(lossy, "QS", 1, 0.5, "unfiltered",
                        amplified_index=amplified_index)
 
 
@@ -482,10 +500,10 @@ def test_truncation_guard_on_source():
     flat = np.eye(N_SMALL + 1)[None] / math.sqrt(N_SMALL + 1)
     fock5 = np.zeros((1, N_SMALL + 1, N_SMALL + 1))
     fock5[0, 5, 5] = 1.0
-    for amp, nla, error in ((flat, NlaSpec("PC", 1, 0.9), TruncationError),
-                            (fock5, NlaSpec("QS", 1, 0.5), ValueError)):
+    for amp, nla, error in ((flat, ("PC", 1, 0.9), TruncationError),
+                            (fock5, ("QS", 1, 0.5), ValueError)):
         with pytest.raises(error, match="supermode 1"):
-            apply_strategy(amp, nla)
+            apply_strategy(amp, *nla)
         dense = [BipartiteDensity(graded_density(amp[0]))]
         with pytest.raises(error):
             dense_strategy(dense, nla)
@@ -497,8 +515,7 @@ def test_truncation_guard_on_source():
 def cascade_compare(r, n_units, n_max):
     """Parallel then cascaded catalysis, each T-optimised on one lossless
     supermode pair: the two distill points of a cascade-compare row pair."""
-    lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), ChannelSpec(0.0),
-                                n_max)
+    lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), 1.0, n_max)
     return tuple(maximize_total_logneg(lossy, kind, n_units)
                  for kind in ("PC", "CascadedPC"))
 
@@ -524,8 +541,8 @@ def test_cascade_compare_two_units_tradeoff():
 
 def test_determinism_bitwise():
     pdc = scenario1()
-    nla = NlaSpec("QS", 2, 0.07)
-    a = apply_strategy(lossy_pdc_densities(pdc, ChannelSpec(8.0), N_MAX), nla)
-    b = apply_strategy(lossy_pdc_densities(pdc, ChannelSpec(8.0), N_MAX), nla)
+    eta = transmissivity_from_db(8.0)
+    a = apply_strategy(lossy_pdc_densities(pdc, eta, N_MAX), "QS", 2, 0.07)
+    b = apply_strategy(lossy_pdc_densities(pdc, eta, N_MAX), "QS", 2, 0.07)
     assert a.total_logneg == b.total_logneg
     assert a.success_prob == b.success_prob

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlasim import fock
-from nlasim.fock import (BipartiteDensity, ChannelSpec, NormalizationError,
+from nlasim.fock import (BipartiteDensity, NormalizationError,
                          TruncationError, apply_diagonal, apply_loss,
                          attenuator_diagonal, beam_splitter_unitary,
                          coherent_state,
@@ -171,7 +171,7 @@ def test_loss_channel_composes():
 
 def test_loss_preserves_trace_and_only_touches_one_arm():
     rho = BipartiteDensity(random_density(25), trace_value=1.0)
-    out = apply_loss(rho, "B", ChannelSpec(3.0))
+    out = apply_loss(rho, "B", transmissivity_from_db(3.0))
     assert np.trace(out.matrix) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(out.arm_populations("A").sum(), 1.0, atol=1e-12)
     # arm A marginal untouched by loss on B

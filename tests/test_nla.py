@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nlasim.fock import (NormalizationError, TruncationError,
                          attenuator_diagonal, coherent_state)
-from nlasim.nla import (VALID_KINDS, AmplifyResult, NlaSpec, _herald,
+from nlasim.nla import (VALID_KINDS, AmplifyResult, _herald,
                         _passive_diagonal, amplify_coherent,
                         equal_gain_transmissivity, fidelity_to_coherent,
                         nla_diagonal, pc_gain, pc_nla_diagonal, qs_gain,
@@ -18,33 +18,36 @@ from nlasim.nla import (VALID_KINDS, AmplifyResult, NlaSpec, _herald,
 
 
 def test_spec_validation():
-    NlaSpec("QS", 1, 0.5)
-    with pytest.raises(ValueError):
-        NlaSpec("XX", 1, 0.5)
-    with pytest.raises(ValueError):
-        NlaSpec("QS", 0, 0.5)
+    # nla_diagonal is the one check of an amplifier's kind, N and T
+    nla_diagonal("QS", 1, 0.5, 4)
+    with pytest.raises(ValueError, match=r"kind must be one of \('QS', "
+                                         r"'PC', 'CascadedPC'\)"):
+        nla_diagonal("XX", 1, 0.5, 4)
+    with pytest.raises(ValueError, match="n_units must be >= 1"):
+        nla_diagonal("QS", 0, 0.5, 4)
     for t in (0.0, 1.0, -0.2):
-        with pytest.raises(ValueError):
-            NlaSpec("PC", 2, t)
+        with pytest.raises(ValueError, match="strictly in"):
+            nla_diagonal("PC", 2, t, 4)
 
 
 def test_unit_count_must_be_an_integer():
     # 2.5 cascade stages would build a 2-stage diagonal next to a T^2.5
     # bystander attenuation: two devices in one row
     for bad in (2.5, 2.0, True, np.bool_(True), "2"):
-        with pytest.raises(ValueError):
-            NlaSpec("CascadedPC", bad, 0.2)
+        with pytest.raises(ValueError, match="n_units must be an integer"):
+            nla_diagonal("CascadedPC", bad, 0.2, 6)
         for build in (qs_nla_diagonal, pc_nla_diagonal):
             with pytest.raises(ValueError):
                 build(bad, 0.2, 6)
     # numpy integers are counted as Python ints: in int64 the powers of M N
     # in the exact catalysis sum would overflow silently
     want = pc_nla_diagonal(8, 0.3, 30)
+    cascade = nla_diagonal("CascadedPC", 8, 0.3, 30)
     for good in (np.int64(8), np.uint8(8)):
-        spec = NlaSpec("PC", good, 0.3)
-        assert type(spec.n_units) is int and spec.n_units == 8
-        assert np.array_equal(nla_diagonal(spec, 30), want)
+        assert np.array_equal(nla_diagonal("PC", good, 0.3, 30), want)
         assert np.array_equal(pc_nla_diagonal(good, 0.3, 30), want)
+        assert np.array_equal(nla_diagonal("CascadedPC", good, 0.3, 30),
+                              cascade)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +119,7 @@ def test_nla_diagonal_dispatch():
                          ("PC", pc_nla_diagonal),
                          ("CascadedPC",
                           lambda n, t, m: pc_nla_diagonal(1, t, m) ** n)):
-        spec = NlaSpec(kind, 2, 0.3)
-        got = nla_diagonal(spec, n_max)
+        got = nla_diagonal(kind, 2, 0.3, n_max)
         want = direct(2, 0.3, n_max)
         assert np.abs(got - want).max() == 0.0
 
@@ -230,12 +232,11 @@ def test_exact_unit_within_rounding_of_float_formula(t):
 @example(n_units=3, t=5e-324, n_max=4)
 def test_cascade_is_the_unit_to_the_nth_power(n_units, t, n_max):
     # target and bystanders alike: the exact unit raised to N, bitwise
-    spec = NlaSpec("CascadedPC", n_units, t)
     assert _bytes_or_overflow(
-        lambda: nla_diagonal(spec, n_max)) == \
+        lambda: nla_diagonal("CascadedPC", n_units, t, n_max)) == \
         _bytes_or_overflow(
             lambda: pc_nla_diagonal(1, t, n_max) ** n_units)
-    bystander = _passive_diagonal(spec, n_max)
+    bystander = _passive_diagonal("CascadedPC", n_units, t, n_max)
     assert bystander.tobytes() == \
         (attenuator_diagonal(t, n_max) ** n_units).tobytes()
     assert bystander[0] == 1.0
@@ -252,10 +253,9 @@ def test_diagonals_are_finite_contractions(kind, n_units, t, n_max):
     # a heralded amplifier is a contraction: what it does to the amplified
     # supermode and to the others is a finite diagonal with |d_n| <= 1,
     # unless the catalysis sum leaves the float range
-    spec = NlaSpec(kind, n_units, t)
-    diagonals = [_passive_diagonal(spec, n_max)]
+    diagonals = [_passive_diagonal(kind, n_units, t, n_max)]
     try:
-        diagonals.append(nla_diagonal(spec, n_max))
+        diagonals.append(nla_diagonal(kind, n_units, t, n_max))
     except OverflowError as exc:
         assert kind != "QS" and str(exc).startswith("catalysis sum")
     for d in diagonals:
@@ -280,7 +280,7 @@ def test_pc_diagonal_large_unit_count_stable():
 
 def test_amplify_single_scissors_by_hand():
     alpha, t, n_max = 0.3, 0.35, 20
-    res = amplify_coherent(alpha, NlaSpec("QS", 1, t), n_max)
+    res = amplify_coherent(alpha, "QS", 1, t, n_max)
     psi = coherent_state(alpha, n_max)
     unnorm = np.zeros(n_max + 1, dtype=complex)
     unnorm[0] = math.sqrt(t) * psi[0]
@@ -320,7 +320,7 @@ def test_amplify_reports_success_in_unit_interval(kind, n_units, t, alpha,
     # (input and target tails, a vanished herald, the output's top bin, a
     # catalysis sum past the float range) is a probability
     try:
-        res = amplify_coherent(alpha, NlaSpec(kind, n_units, t), n_max, 1.5)
+        res = amplify_coherent(alpha, kind, n_units, t, n_max, 1.5)
     except (TruncationError, OverflowError):
         return
     except NormalizationError as exc:
@@ -333,14 +333,14 @@ def test_amplify_reports_success_in_unit_interval(kind, n_units, t, alpha,
 def test_amplify_gain_matched_scissors_is_accurate_for_weak_input():
     g = 2.0
     t = equal_gain_transmissivity("QS", g)
-    res = amplify_coherent(0.05, NlaSpec("QS", 1, t), 20, g)
+    res = amplify_coherent(0.05, "QS", 1, t, 20, g)
     assert res.fidelity > 1 - 1e-4
 
 
 def test_pc_output_heralds_onto_flipped_target():
     g = 1.5
     t = equal_gain_transmissivity("PC", g)
-    res = amplify_coherent(0.2, NlaSpec("PC", 1, t), 25)
+    res = amplify_coherent(0.2, "PC", 1, t, 25)
     flipped = fidelity_to_coherent(res.out_state, -g * 0.2)
     upright = fidelity_to_coherent(res.out_state, +g * 0.2)
     assert flipped > upright
@@ -348,24 +348,29 @@ def test_pc_output_heralds_onto_flipped_target():
 
 def test_cascade_parity_follows_unit_count():
     # two catalysis stages undo the sign flip
-    res2 = amplify_coherent(0.2, NlaSpec("CascadedPC", 2, 0.12), 25)
+    res2 = amplify_coherent(0.2, "CascadedPC", 2, 0.12, 25)
     upright = fidelity_to_coherent(res2.out_state, +1.1 * 0.2)
     flipped = fidelity_to_coherent(res2.out_state, -1.1 * 0.2)
     assert upright > flipped
 
 
 def test_amplify_without_target_leaves_fidelity_unset():
-    res = amplify_coherent(0.3, NlaSpec("QS", 1, 0.5), 20)
+    res = amplify_coherent(0.3, "QS", 1, 0.5, 20)
     assert isinstance(res, AmplifyResult)
     assert res.fidelity is None
 
 
+def test_amplify_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="kind must be one of"):
+        amplify_coherent(0.3, "XX", 1, 0.5, 20, 1.5)
+
+
 def test_amplify_guards_truncation():
     with pytest.raises(TruncationError):
-        amplify_coherent(2.5, NlaSpec("QS", 1, 0.5), 8)
+        amplify_coherent(2.5, "QS", 1, 0.5, 8)
 
 
 def test_success_probability_decreases_with_unit_count():
-    probs = [amplify_coherent(0.2, NlaSpec("QS", n, 0.2), 25).success_prob
+    probs = [amplify_coherent(0.2, "QS", n, 0.2, 25).success_prob
              for n in range(1, 6)]
     assert all(a > b for a, b in zip(probs, probs[1:]))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from nlasim.distill import PdcSpec, apply_strategy, lossy_pdc_densities
 from nlasim import fock, nla, optimize
-from nlasim.fock import ChannelSpec, TruncationError, coherent_state
-from nlasim.nla import VALID_KINDS, NlaSpec, amplify_coherent
+from nlasim.fock import TruncationError, coherent_state, transmissivity_from_db
+from nlasim.nla import VALID_KINDS, amplify_coherent
 from nlasim.optimize import (SweepConfig, max_fidelity_profile,
                              max_fidelity_profiles, maximize_over_T,
                              maximize_total_logneg)
@@ -205,7 +205,7 @@ def test_power_of_two_rescaling_keeps_the_optimum(terms, damping, cfg, k):
 def test_max_fidelity_profile_matches_direct_evaluation():
     cfg = SweepConfig(grid_points=40, refine_tolerance=1e-5)
     t_star, f_star, prob = max_fidelity_profile(0.2, 1.5, "QS", 1, 25, cfg)
-    res = amplify_coherent(0.2, NlaSpec("QS", 1, t_star), 25, 1.5)
+    res = amplify_coherent(0.2, "QS", 1, t_star, 25, 1.5)
     assert f_star == pytest.approx(res.fidelity, rel=1e-12)
     assert prob == pytest.approx(res.success_prob, rel=1e-12)
     # the optimum sits near the gain-matched transmissivity for weak input
@@ -217,11 +217,11 @@ def test_max_fidelity_profile_matches_direct_evaluation():
 def reference_fidelity_profile(alpha, target_gain, kind, n_units, n_max=30,
                                config=None):
     def objective(t):
-        return amplify_coherent(alpha, NlaSpec(kind, n_units, t), n_max,
+        return amplify_coherent(alpha, kind, n_units, t, n_max,
                                 target_gain).fidelity
 
     t_star, f_star = maximize_over_T(objective, config)
-    res = amplify_coherent(alpha, NlaSpec(kind, n_units, t_star), n_max,
+    res = amplify_coherent(alpha, kind, n_units, t_star, n_max,
                            target_gain)
     return t_star, f_star, res.success_prob
 
@@ -251,6 +251,29 @@ def test_max_fidelity_profile_bitwise_equal_reference(kind, n_units, alpha,
     args = (alpha, gain, kind, n_units, n_max, cfg)
     assert _bytes_or_guard(lambda: max_fidelity_profile(*args)) == \
         _bytes_or_guard(lambda: reference_fidelity_profile(*args))
+
+
+# rows whose catalysis sum leaves the float range at a tiny t_min and whose
+# input loses its tail past n_max: the diagonal's guard trips first, as in
+# amplify_coherent, alone and next to a row whose input passes
+@pytest.mark.parametrize("alpha, gain, n_units, n_max, t_min, grid_points", (
+    (2.5, 1.5, 3, 8, 1e-300, 4),
+    (1.8365, 1.1194, 2, 8, 1e-200, 7),
+    (2.2542, 1.1163, 7, 20, 1e-300, 8),
+    (1.2752, 1.8293, 6, 8, 1e-200, 5),
+))
+def test_max_fidelity_profile_diagonal_guard_before_input_tail(
+        alpha, gain, n_units, n_max, t_min, grid_points):
+    cfg = SweepConfig(t_min=t_min, t_max=0.5, grid_points=grid_points)
+    args = (alpha, gain, "PC", n_units, n_max, cfg)
+    with pytest.raises(OverflowError, match="^catalysis sum with "
+                                            f"N={n_units} units at T="):
+        max_fidelity_profile(*args)
+    want = _bytes_or_guard(lambda: reference_fidelity_profile(*args))
+    assert _bytes_or_guard(lambda: max_fidelity_profile(*args)) == want
+    outcomes = max_fidelity_profiles([(0.05, gain), (alpha, gain)], "PC",
+                                     n_units, n_max, cfg)
+    assert _bytes_or_guard(lambda: _raise_or_return(outcomes[1])) == want
 
 
 def _raise_or_return(outcome):
@@ -387,11 +410,11 @@ def test_max_fidelity_profile_output_guard_precedes_target_tail():
 
 def test_maximize_total_logneg_consistent_with_distill():
     lossy = lossy_pdc_densities(PdcSpec.from_scenario(1, 5.0),
-                                ChannelSpec(8.0), 20)
+                                transmissivity_from_db(8.0), 20)
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
     best = maximize_total_logneg(lossy, "QS", 2, config=cfg)
     assert best.optimal_t is not None
-    redo = apply_strategy(lossy, NlaSpec("QS", 2, best.optimal_t))
+    redo = apply_strategy(lossy, "QS", 2, best.optimal_t)
     assert best.total_logneg == redo.total_logneg
     assert best.success_prob == redo.success_prob
     assert np.array_equal(best.per_supermode_logneg,
@@ -411,12 +434,12 @@ def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
     # whether t_star is a refinement T or, above T = 0.5 where the log-
     # negativity rises to the region's edge, the grid's first maximum
     lossy = lossy_pdc_densities(PdcSpec.from_scenario(2, r1_db, k_modes=3),
-                                ChannelSpec(8.0), 20)
+                                transmissivity_from_db(8.0), 20)
     scored, records = [], []
 
-    def spy_apply(lossy, nla, *receiver):
-        scored.append(nla.transmissivity)
-        return apply_strategy(lossy, nla, *receiver)
+    def spy_apply(lossy, kind, n_units, t, *receiver):
+        scored.append(t)
+        return apply_strategy(lossy, kind, n_units, t, *receiver)
 
     monkeypatch.setattr(optimize, "apply_strategy", spy_apply)
     monkeypatch.setattr(optimize, "refine", _spy_on_refine(records))
@@ -427,7 +450,7 @@ def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
     on_grid = best.optimal_t in [float(t) for t in cfg.t_grid]
     assert on_grid == (optimum == "grid")
     assert (best.optimal_t, best.total_logneg) in record
-    redo = apply_strategy(lossy, NlaSpec("PC", 2, best.optimal_t),
+    redo = apply_strategy(lossy, "PC", 2, best.optimal_t,
                           "filtered", 2)
     assert best.total_logneg == redo.total_logneg
     assert best.success_prob == redo.success_prob
@@ -435,8 +458,8 @@ def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
 
 def test_maximize_total_logneg_beats_fixed_choice():
     lossy = lossy_pdc_densities(PdcSpec.from_scenario(1, 5.0),
-                                ChannelSpec(8.0), 20)
+                                transmissivity_from_db(8.0), 20)
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
     best = maximize_total_logneg(lossy, "QS", 2, config=cfg)
-    fixed = apply_strategy(lossy, NlaSpec("QS", 2, 0.5))
+    fixed = apply_strategy(lossy, "QS", 2, 0.5)
     assert best.total_logneg >= fixed.total_logneg - 1e-12

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from nlasim import oracle
-from nlasim.nla import (NlaSpec, nla_diagonal, pc_nla_diagonal,
-                        qs_nla_diagonal)
+from nlasim.nla import nla_diagonal, pc_nla_diagonal, qs_nla_diagonal
 
 T_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -180,7 +179,7 @@ def test_pc_diagonal_values():
 
 
 def test_cascaded_single_unit_equals_plain_pc():
-    a = nla_diagonal(NlaSpec("CascadedPC", 1, 0.35), 8)
+    a = nla_diagonal("CascadedPC", 1, 0.35, 8)
     b = pc_nla_diagonal(1, 0.35, 8)
     assert a.tobytes() == b.tobytes()
 
@@ -188,5 +187,5 @@ def test_cascaded_single_unit_equals_plain_pc():
 def test_cascaded_is_elementwise_power():
     t = 0.3
     single = pc_nla_diagonal(1, t, 6)
-    triple = nla_diagonal(NlaSpec("CascadedPC", 3, t), 6)
+    triple = nla_diagonal("CascadedPC", 3, t, 6)
     assert np.abs(triple - single ** 3).max() < 1e-14
