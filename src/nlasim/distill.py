@@ -56,44 +56,34 @@ def scenario_lambdas(scenario: int, k_modes: int = DEFAULT_SUPERMODES,
 
 @dataclass(frozen=True)
 class PdcSpec:
-    """Down-conversion source: normalised weights ``lambdas`` and gain G.
+    """Down-conversion source: the supermode squeezings r_k."""
 
-    Supermode squeezings are r_k = G * lambda_k, with sum lambda_k^2 = 1.
-    """
-
-    lambdas: np.ndarray
-    gain: float
+    squeezings: np.ndarray
 
     def __post_init__(self):
-        lam = np.ascontiguousarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size == 0:
-            raise ValueError("lambdas must be a non-empty 1-d array")
-        if not np.all(np.isfinite(lam) & (lam >= 0)):
-            raise ValueError("lambdas must be finite and non-negative")
-        total = (lam ** 2).sum()
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"lambdas violate sum-of-squares normalisation "
-                             f"(got {total})")
-        if not math.isfinite(self.gain) or self.gain < 0:
-            raise ValueError("gain must be finite and >= 0")
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
-
-    @property
-    def squeezings(self) -> np.ndarray:
-        return self.gain * self.lambdas
+        r = np.ascontiguousarray(self.squeezings, dtype=float)
+        if r.ndim != 1 or r.size == 0:
+            raise ValueError("squeezings must be a non-empty 1-d array")
+        if not np.all(np.isfinite(r) & (r >= 0)):
+            raise ValueError("squeezings must be finite and non-negative")
+        r.setflags(write=False)
+        object.__setattr__(self, "squeezings", r)
 
     @classmethod
     def from_scenario(cls, scenario: int, r1_db: float,
                       k_modes: int = DEFAULT_SUPERMODES,
                       decay: float = DEFAULT_DECAY) -> "PdcSpec":
-        """Pin the source by its strongest-supermode squeezing in dB."""
+        """Pin the source by its strongest-supermode squeezing in dB.
+
+        r_k = G lambda_k, with the scenario's weights lambda normalised to
+        sum lambda_k^2 = 1 and the gain G = r_1 / lambda_1.
+        """
         if r1_db < 0:
             raise ValueError("r1_db must be >= 0")
         raw = scenario_lambdas(scenario, k_modes, decay)
         lam = raw / math.sqrt((raw ** 2).sum())
         r1 = squeezing_from_db(r1_db)
-        return cls(lam, r1 / lam[0])
+        return cls(r1 / lam[0] * lam)
 
 
 def _check_receiver(strategy, amplified_index: int, k_modes: int) -> None:
@@ -110,7 +100,6 @@ class DistillResult:
     per_supermode_logneg: np.ndarray
     total_logneg: float
     success_prob: float
-    optimal_t: float | None = None
 
 
 def lossy_pdc_densities(spec: PdcSpec, eta: float, n_max: int,

@@ -59,9 +59,8 @@ def squeezing_to_db(r: float) -> float:
     return r * SQUEEZING_DB_PER_UNIT
 
 
-def guard_truncation(populations: np.ndarray, limit: float = 1e-6,
-                     what: str = "state") -> None:
-    """Raise if the top Fock bin holds more than ``limit`` of the peak bin.
+def guard_truncation(populations: np.ndarray, what: str = "state") -> None:
+    """Raise if the top Fock bin holds more than 1e-6 of the peak bin.
 
     Post-hoc guard against silently truncated output states; ``populations``
     is any non-negative per-bin weight vector (|amps|^2 or diagonal of a
@@ -71,10 +70,10 @@ def guard_truncation(populations: np.ndarray, limit: float = 1e-6,
     peak = pops.max(initial=0.0)
     if peak <= 0.0:
         return
-    if pops[-1] > limit * peak:
+    if pops[-1] > 1e-6 * peak:
         raise TruncationError(
             f"{what}: top-bin population {pops[-1]:.3e} exceeds "
-            f"{limit:g} of the peak bin {peak:.3e}; increase n_max")
+            f"1e-06 of the peak bin {peak:.3e}; increase n_max")
 
 
 def vacuum_projection_diagonal(n_max: int) -> np.ndarray:
@@ -91,19 +90,18 @@ def attenuator_diagonal(transmissivity: float, n_max: int) -> np.ndarray:
     return math.sqrt(transmissivity) ** n
 
 
-def coherent_state(alpha: complex, n_max: int,
-                   tail_tol: float = 1e-8) -> np.ndarray:
+def coherent_state(alpha: complex, n_max: int) -> np.ndarray:
     """Coherent-state amplitudes e^(-|a|^2/2) a^n / sqrt(n!) up to ``n_max``.
 
     Raises TruncationError when the neglected Poisson tail carries more than
-    ``tail_tol`` probability.
+    1e-8 probability.
     """
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, n_max + 1):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     tail = 1.0 - float(np.vdot(amps, amps).real)
-    if not tail <= tail_tol:            # a non-finite alpha fails here too
+    if not tail <= 1e-8:                # a non-finite alpha fails here too
         raise TruncationError(
             f"coherent state |alpha|={abs(alpha):.4g} loses {tail:.3e} "
             f"probability beyond n_max={n_max}")

@@ -8,7 +8,7 @@ worse than any point evaluated; ties break toward the lowest transmissivity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,10 @@ class SweepConfig:
     def __post_init__(self):
         if not 0.0 < self.t_min < self.t_max < 1.0:
             raise ValueError("need 0 < t_min < t_max < 1")
-        if _integer(self.grid_points, "grid_points") < 3:
-            raise ValueError("grid_points must be >= 3")
+        # 100000 is a typo guard: a search keeps grid_points floats per row
+        if not 4 <= _integer(self.grid_points, "grid_points") <= 100_000:
+            raise ValueError(f"grid_points must lie in [4, 100000], "
+                             f"got {self.grid_points}")
         if not 0.0 < self.refine_tolerance < math.inf:
             raise ValueError("refine_tolerance must be positive and finite")
 
@@ -85,19 +87,14 @@ def refine(objective, values, config: SweepConfig):
     return best_t, best_v
 
 
-def maximize_over_T(objective, config: SweepConfig | None = None,
-                    record: list | None = None):
+def maximize_over_T(objective, config: SweepConfig | None = None):
     """Coarse grid plus golden-section refinement of a scalar objective:
     :func:`refine` on its samples of ``config.t_grid``, taken in order.
-    ``record``, when given, collects all (t, value) pairs in evaluation order.
     """
     cfg = config or SweepConfig()
 
     def f(t: float) -> float:
-        v = _finite(t, objective(t))
-        if record is not None:
-            record.append((t, v))
-        return v
+        return _finite(t, objective(t))
 
     return refine(f, [f(t) for t in cfg.t_grid], cfg)
 
@@ -198,9 +195,9 @@ def maximize_total_logneg(lossy: np.ndarray, kind: str, n_units: int,
                           config: SweepConfig | None = None):
     """T-optimised :func:`apply_strategy` on a lossy source.
 
-    ``lossy`` is the stack from :func:`lossy_pdc_densities`.  Returns the
-    :class:`DistillResult` the search computed at its optimum, with
-    ``optimal_t`` set.
+    ``lossy`` is the stack from :func:`lossy_pdc_densities`.  Returns
+    ``(t_star, result)``, the :class:`DistillResult` the search computed at
+    its optimum ``t_star``.
     """
     cfg = config or SweepConfig()
 
@@ -223,4 +220,4 @@ def maximize_total_logneg(lossy: np.ndarray, kind: str, n_units: int,
         return v
 
     t_star, _ = refine(objective, values, cfg)
-    return replace(kept[t_star], optimal_t=t_star)
+    return t_star, kept[t_star]

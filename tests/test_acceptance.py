@@ -242,7 +242,7 @@ def _threshold_scan():
         lossy = lossy_pdc_densities(pdc, transmissivity_from_db(float(db)), 20)
         ref = reference_no_nla(lossy).total_logneg
         for kind in ("QS", "PC"):
-            best = maximize_total_logneg(lossy, kind, 2, config=cfg)
+            _, best = maximize_total_logneg(lossy, kind, 2, config=cfg)
             diffs[kind].append(best.total_logneg - ref)
     return diffs, time.perf_counter() - t0
 
@@ -278,7 +278,7 @@ def test_criterion_10_deep_attenuation_floor():
         values = {}
         for db in (25.0, 35.0):
             lossy = lossy_pdc_densities(pdc, transmissivity_from_db(db), 20)
-            best = maximize_total_logneg(lossy, "PC", 2, config=cfg)
+            _, best = maximize_total_logneg(lossy, "PC", 2, config=cfg)
             values[db] = best.total_logneg
         rel = abs(values[25.0] - values[35.0]) / values[25.0]
     ok = rel < 0.05 and tm.elapsed < 300
@@ -294,8 +294,8 @@ def test_criterion_10_deep_attenuation_floor():
 def cascade_compare(r, n_units, n_max):
     """Parallel then cascaded catalysis, each the T-optimised distill result
     on one lossless supermode pair (the cascade-compare rows)."""
-    lossy = lossy_pdc_densities(PdcSpec(np.ones(1), r), 1.0, n_max)
-    return tuple(maximize_total_logneg(lossy, kind, n_units)
+    lossy = lossy_pdc_densities(PdcSpec(np.array([r])), 1.0, n_max)
+    return tuple(maximize_total_logneg(lossy, kind, n_units)[1]
                  for kind in ("PC", "CascadedPC"))
 
 

@@ -116,9 +116,11 @@ def test_flag_overrides_beat_config(tmp_path):
 # any JSON value at any key: accepted or a ConfigError, never another error.
 # Integers reach 10**12: k_modes, n_max and grid_points are bounded, so a huge
 # value is a ConfigError, not a k_modes-long source profile built to check it.
+# Integers beyond the float range reach every number key too.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 100)
     | st.integers(-10 ** 12, 10 ** 12) | st.floats()
+    | st.integers(10 ** 308, 10 ** 320) | st.integers(-10 ** 320, -10 ** 308)
     | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -456,6 +458,8 @@ DISTILL_MIN = {"attenuations_db": [0.0]}
     ("sweep", {"n_max": 201}, "n_max"),
     ("amplify", {**AMPLIFY_MIN, "optimizer": {"grid_points": 100_001}},
      "grid_points"),
+    # an integer beyond the float range is not a finite number
+    ("distill", {**DISTILL_MIN, "r1_db": 10 ** 400}, "r1_db"),
 ], ids=["bool", "inf", "nan", "empty-grid", "unknown-kind", "bad-strategy",
         "scenario-4", "amplified-index", "grid-points-3", "t-min-ge-t-max",
         "n-max-1", "unknown-optimizer-key", "bad-format", "workers-0",
@@ -463,7 +467,7 @@ DISTILL_MIN = {"attenuations_db": [0.0]}
         "decay-out-of-range",
         "negative-attenuation", "negative-squeezing", "negative-r1-db",
         "sweep-negative-r1-db", "sweep-refine-tolerance", "huge-k-modes",
-        "n-max-above-bound", "grid-points-above-bound"])
+        "n-max-above-bound", "grid-points-above-bound", "r1-db-huge-int"])
 def test_bad_config_is_config_error_before_any_work(
         tmp_path, capsys, monkeypatch, experiment, payload, named):
     def no_work(*args):
@@ -590,6 +594,23 @@ def test_verify_detects_failure_in_last_case(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL nsplitter_unitary" in out
     assert "FAIL loss_trace_preserving" in out
+
+
+def test_verify_detects_nan_in_last_case(tmp_path, monkeypatch, capsys):
+    # NaN fails every comparison, so a fold that compares case by case
+    # drops a NaN after the first case; it must reach the report and fail
+    true_splitter = oracle_module.nsplitter_unitary
+
+    def splitter(n_paths):
+        u = true_splitter(n_paths)
+        return u * math.nan if n_paths == 5 else u
+
+    monkeypatch.setattr(oracle_module, "nsplitter_unitary", splitter)
+    path = write_config(tmp_path, {"checks": ["nsplitter_unitary"]})
+    assert main(["verify", "--config", path]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL nsplitter_unitary: max deviation nan" in out
+    assert "0/1 checks passed" in out
 
 
 def test_verify_detects_wrong_gaussian_log_negativity(monkeypatch, capsys):

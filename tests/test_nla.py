@@ -302,7 +302,8 @@ def test_herald_rejects_non_finite_amplitudes():
     # and leaves inf / inf = nan in the output; a nan amplitude leaves nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="amps must be finite"):
-            _herald(np.array([1.0, math.inf]), coherent_state(0.3, 1, 0.1))
+            _herald(np.array([1.0, math.inf]),
+                    np.array([0.8, 0.6], dtype=complex))
         with pytest.raises(ValueError, match="amps must be finite"):
             _herald(np.ones(2), np.array([0.6, math.nan], dtype=complex))
 

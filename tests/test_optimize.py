@@ -33,11 +33,19 @@ WAVES = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 60.0)),
 DAMPINGS = st.floats(0.0, 5.0)
 SWEEP_CONFIGS = st.builds(SweepConfig, t_min=st.floats(1e-8, 0.4),
                           t_max=st.floats(0.6, 1.0 - 1e-8),
-                          grid_points=st.integers(3, 80),
+                          grid_points=st.integers(4, 80),
                           refine_tolerance=st.floats(1e-9, 1e-2))
 # sum_k c_k sin(7 (k + 1) t) with six normal c_k
 BUMPY = [(c, 7.0 * (k + 1))
          for k, c in enumerate(np.random.default_rng(3).normal(size=6))]
+
+
+def _recorded(objective, record):
+    def f(t):
+        v = objective(t)
+        record.append((t, v))
+        return v
+    return f
 
 
 def test_sweep_config_validation():
@@ -45,8 +53,9 @@ def test_sweep_config_validation():
         SweepConfig(t_min=0.5, t_max=0.2)
     with pytest.raises(ValueError):
         SweepConfig(t_min=0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(grid_points=2)
+    for grid_points in (2, 3, 100_001):
+        with pytest.raises(ValueError, match="grid_points"):
+            SweepConfig(grid_points=grid_points)
     with pytest.raises(ValueError):
         SweepConfig(refine_tolerance=0.0)
     # a non-finite tolerance would stop refinement after its first two points
@@ -77,21 +86,13 @@ def test_peak_on_boundary_cell():
          cfg=SweepConfig(grid_points=17, refine_tolerance=1e-3))
 def test_returned_value_never_below_grid_samples(terms, damping, cfg):
     record = []
-    t_star, v_star = maximize_over_T(damped_waves(terms, damping), cfg,
-                                     record=record)
+    t_star, v_star = maximize_over_T(
+        _recorded(damped_waves(terms, damping), record), cfg)
     # the whole coarse grid is sampled first, then the refinement
     grid = [t for t, _ in record[:cfg.grid_points]]
     assert grid == list(cfg.t_grid)
     assert v_star >= max(v for _, v in record)
     assert (t_star, v_star) in record
-
-
-def _recorded(objective, record):
-    def f(t):
-        v = objective(t)
-        record.append((t, v))
-        return v
-    return f
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -111,7 +112,7 @@ def test_refine_on_grid_values_matches_maximize_over_T(objectives, cfg,
             values[k, j] = objective(t)
     for objective, row in zip(objectives, values):
         record, refined = [], []
-        expected = maximize_over_T(objective, cfg, record=record)
+        expected = maximize_over_T(_recorded(objective, record), cfg)
         got = optimize.refine(_recorded(objective, refined), row, cfg)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert np.array(refined).tobytes() == \
@@ -120,7 +121,7 @@ def test_refine_on_grid_values_matches_maximize_over_T(objectives, cfg,
 
 def test_record_collects_all_evaluations():
     record = []
-    maximize_over_T(lambda t: t * (1 - t), FAST, record=record)
+    maximize_over_T(_recorded(lambda t: t * (1 - t), record), FAST)
     assert len(record) >= FAST.grid_points
     ts = [t for t, _ in record]
     assert min(ts) >= FAST.t_min and max(ts) <= FAST.t_max
@@ -133,7 +134,7 @@ def test_sweep_objective_trace_and_success():
         calls.append(t)
         return -(t - 0.4) ** 2
 
-    t_star, v_star = maximize_over_T(objective, FAST, record=record)
+    t_star, v_star = maximize_over_T(_recorded(objective, record), FAST)
     assert abs(t_star - 0.4) < 1e-5
     # every evaluation, in the order it was made, with its value
     assert [t for t, _ in record] == calls
@@ -163,7 +164,7 @@ def test_refinement_stops_below_float_resolution(tolerance):
 
     record = []
     cfg = SweepConfig(grid_points=10, refine_tolerance=tolerance)
-    t_star, v_star = maximize_over_T(objective, cfg, record=record)
+    t_star, v_star = maximize_over_T(_recorded(objective, record), cfg)
     assert abs(t_star - 0.3) < 1e-15
     assert v_star == max(v for _, v in record)
 
@@ -175,8 +176,8 @@ def test_deterministic_bitwise(terms, damping, cfg):
     runs = []
     for _ in range(2):
         record = []
-        best = maximize_over_T(damped_waves(terms, damping), cfg,
-                               record=record)
+        best = maximize_over_T(_recorded(damped_waves(terms, damping),
+                                         record), cfg)
         runs.append((best, record))
     assert runs[0] == runs[1]
 
@@ -192,9 +193,9 @@ def test_power_of_two_rescaling_keeps_the_optimum(terms, damping, cfg, k):
     objective = damped_waves(terms, damping)
     scale = 2.0 ** k
     record, scaled_record = [], []
-    t_star, v_star = maximize_over_T(objective, cfg, record=record)
-    scaled = maximize_over_T(lambda t: scale * objective(t), cfg,
-                             record=scaled_record)
+    t_star, v_star = maximize_over_T(_recorded(objective, record), cfg)
+    scaled = maximize_over_T(
+        _recorded(lambda t: scale * objective(t), scaled_record), cfg)
     assert scaled == (t_star, scale * v_star)
     assert scaled_record == [(t, scale * v) for t, v in record]
 
@@ -238,7 +239,7 @@ def _bytes_or_guard(search):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(VALID_KINDS), n_units=st.integers(1, 8),
        alpha=st.floats(0.05, 2.5), gain=st.floats(1.1, 2.0),
-       n_max=st.integers(8, 40), grid_points=st.integers(3, 12))
+       n_max=st.integers(8, 40), grid_points=st.integers(4, 12))
 # the amplify-grid benchmark shape: 48 grid points, n_max 30, eight units
 @example(kind="PC", n_units=8, alpha=0.8786, gain=1.6282, n_max=30,
          grid_points=48)
@@ -286,7 +287,7 @@ def _raise_or_return(outcome):
 @given(kind=st.sampled_from(VALID_KINDS), n_units=st.integers(1, 8),
        alphas=st.lists(st.floats(0.05, 2.5), min_size=1, max_size=3),
        gains=st.lists(st.floats(1.1, 2.0), min_size=1, max_size=3),
-       n_max=st.integers(8, 40), grid_points=st.integers(3, 12))
+       n_max=st.integers(8, 40), grid_points=st.integers(4, 12))
 # rows that pass and rows that trip the input tail guard in one group
 @example(kind="PC", n_units=3, alphas=[0.05, 2.5], gains=[1.5, 1.1],
          n_max=8, grid_points=12)
@@ -412,9 +413,8 @@ def test_maximize_total_logneg_consistent_with_distill():
     lossy = lossy_pdc_densities(PdcSpec.from_scenario(1, 5.0),
                                 transmissivity_from_db(8.0), 20)
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
-    best = maximize_total_logneg(lossy, "QS", 2, config=cfg)
-    assert best.optimal_t is not None
-    redo = apply_strategy(lossy, "QS", 2, best.optimal_t)
+    t_star, best = maximize_total_logneg(lossy, "QS", 2, config=cfg)
+    redo = apply_strategy(lossy, "QS", 2, t_star)
     assert best.total_logneg == redo.total_logneg
     assert best.success_prob == redo.success_prob
     assert np.array_equal(best.per_supermode_logneg,
@@ -444,14 +444,13 @@ def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
     monkeypatch.setattr(optimize, "apply_strategy", spy_apply)
     monkeypatch.setattr(optimize, "refine", _spy_on_refine(records))
     cfg = SweepConfig(t_min, t_max, grid_points=8, refine_tolerance=1e-3)
-    best = maximize_total_logneg(lossy, "PC", 2, "filtered", 2, cfg)
+    t_star, best = maximize_total_logneg(lossy, "PC", 2, "filtered", 2, cfg)
     (record,) = records
     assert scored == [t for t, _ in record]
-    on_grid = best.optimal_t in [float(t) for t in cfg.t_grid]
+    on_grid = t_star in [float(t) for t in cfg.t_grid]
     assert on_grid == (optimum == "grid")
-    assert (best.optimal_t, best.total_logneg) in record
-    redo = apply_strategy(lossy, "PC", 2, best.optimal_t,
-                          "filtered", 2)
+    assert (t_star, best.total_logneg) in record
+    redo = apply_strategy(lossy, "PC", 2, t_star, "filtered", 2)
     assert best.total_logneg == redo.total_logneg
     assert best.success_prob == redo.success_prob
 
@@ -460,6 +459,6 @@ def test_maximize_total_logneg_beats_fixed_choice():
     lossy = lossy_pdc_densities(PdcSpec.from_scenario(1, 5.0),
                                 transmissivity_from_db(8.0), 20)
     cfg = SweepConfig(grid_points=24, refine_tolerance=1e-3)
-    best = maximize_total_logneg(lossy, "QS", 2, config=cfg)
+    _, best = maximize_total_logneg(lossy, "QS", 2, config=cfg)
     fixed = apply_strategy(lossy, "QS", 2, 0.5)
     assert best.total_logneg >= fixed.total_logneg - 1e-12
