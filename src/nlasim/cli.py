@@ -224,10 +224,10 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:    # bad UTF-8, a >4300-digit int
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
     return raw

@@ -1,8 +1,10 @@
 """Scalar searches over the amplifier transmissivity.
 
 All searches are deterministic: each samples a fixed coarse grid, then
-:func:`refine` golden-sections around its first maximum.  The optimum is never
-worse than any point evaluated; ties break toward the lowest transmissivity.
+:func:`refine` golden-sections around its first maximum, and a search that
+reports more than the objective evaluates once more at the optimum.  The
+optimum is never worse than any point evaluated; ties break toward the lowest
+transmissivity.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
     The coarse grid runs T-major: each grid T gets one diagonal for every
     row and one herald step for each alpha, dropped before the next T, and
     each row keeps one float per grid T.  Each row then calls :func:`refine`
-    on its grid values, with diagonals of its own.  A row makes the
+    on its grid values, with diagonals of its own, and takes its herald
+    probability from one more evaluation at ``t_star``.  A row makes the
     evaluations it would make alone, with the guards in amplify_coherent's
     order (the diagonal's kind, N, T and float range, the input tail, the
     herald probability, the output top bin, the target tail); a guard that
@@ -139,7 +142,6 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
     # grid values of each row, up to its first failure
     values = np.empty((len(rows), len(ts)))
     outcomes = [None] * len(rows)       # result or exception, per row
-    grid_best = [None] * len(rows)      # (value, prob) at the first maximum
     live = list(range(len(rows)))
     for j, t in enumerate(ts):
         diagonal, heralds = None, {}
@@ -147,27 +149,19 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
             try:
                 if diagonal is None:
                     diagonal = nla_diagonal(kind, n_units, t, n_max)
-                v, prob = evaluate(r, diagonal, heralds)
-                values[r, j] = _finite(t, v)
+                values[r, j] = _finite(t, evaluate(r, diagonal, heralds)[0])
             except Exception as exc:    # the row's outcome, not the group's
                 outcomes[r] = exc.with_traceback(None)
-                continue
-            if grid_best[r] is None or v > grid_best[r][0]:
-                grid_best[r] = (v, prob)
         live = [r for r in live if outcomes[r] is None]
 
     for r in live:
-        refined = {}                    # refine T -> herald probability
-
-        def objective(t: float) -> float:
-            diagonal = nla_diagonal(kind, n_units, t, n_max)
-            v, refined[t] = evaluate(r, diagonal, {})
-            return _finite(t, v)
+        def score(t: float):
+            return evaluate(r, nla_diagonal(kind, n_units, t, n_max), {})
 
         try:
-            t_star, f_star = refine(objective, values[r], cfg)
-            prob = refined.get(t_star, grid_best[r][1])
-            outcomes[r] = (t_star, f_star, prob)
+            t_star, f_star = refine(lambda t: _finite(t, score(t)[0]),
+                                    values[r], cfg)
+            outcomes[r] = (t_star, f_star, score(t_star)[1])
         except Exception as exc:
             outcomes[r] = exc.with_traceback(None)
     return outcomes
@@ -196,28 +190,13 @@ def maximize_total_logneg(lossy: np.ndarray, kind: str, n_units: int,
     """T-optimised :func:`apply_strategy` on a lossy source.
 
     ``lossy`` is the stack from :func:`lossy_pdc_densities`.  Returns
-    ``(t_star, result)``, the :class:`DistillResult` the search computed at
-    its optimum ``t_star``.
+    ``(t_star, result)``: :func:`maximize_over_T` of the total
+    log-negativity, then the :class:`DistillResult` of one more
+    :func:`apply_strategy` call at ``t_star``.
     """
-    cfg = config or SweepConfig()
-
     def score(t: float):
-        res = apply_strategy(lossy, kind, n_units, t, strategy,
-                             amplified_index)
-        return _finite(t, res.total_logneg), res
+        return apply_strategy(lossy, kind, n_units, t, strategy,
+                              amplified_index)
 
-    # T -> result at each T that can be t_star: the grid's first maximum,
-    # then every refine T, so memory does not grow with grid_points
-    kept, values, top = {}, [], -math.inf
-    for t in cfg.t_grid:
-        v, res = score(t)
-        values.append(v)
-        if v > top:
-            kept, top = {t: res}, v
-
-    def objective(t: float) -> float:
-        v, kept[t] = score(t)
-        return v
-
-    t_star, _ = refine(objective, values, cfg)
-    return t_star, kept[t_star]
+    t_star, _ = maximize_over_T(lambda t: score(t).total_logneg, config)
+    return t_star, score(t_star)

@@ -25,8 +25,13 @@ AMPLIFY_MIN = {"alphas": [0.2], "target_gains": [1.0, 2.0],
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
+    """Write ``payload`` as JSON, or as is if it is bytes; None writes no
+    file and returns the path of the missing one."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    elif payload is not None:
+        path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -460,6 +465,16 @@ DISTILL_MIN = {"attenuations_db": [0.0]}
      "grid_points"),
     # an integer beyond the float range is not a finite number
     ("distill", {**DISTILL_MIN, "r1_db": 10 ** 400}, "r1_db"),
+    ("distill", {**DISTILL_MIN, "optimizer": 5}, "optimizer"),
+    # files that are no JSON object; json.dumps cannot write an integer of
+    # more than 4300 digits, which json.load also refuses to read
+    ("distill", None, "cannot read config"),
+    ("distill", b'{"attenuations_db": [0.0], "r1_db": 1' + b"0" * 5000 + b"}",
+     "4300 digits"),
+    ("distill", b'{"attenuations_db": [0.0], "r1_db": "\xff"}',
+     "cannot read config"),
+    ("distill", b'{"attenuations_db": [0.0],', "not valid JSON"),
+    ("distill", [DISTILL_MIN], "must be a JSON object"),
 ], ids=["bool", "inf", "nan", "empty-grid", "unknown-kind", "bad-strategy",
         "scenario-4", "amplified-index", "grid-points-3", "t-min-ge-t-max",
         "n-max-1", "unknown-optimizer-key", "bad-format", "workers-0",
@@ -467,7 +482,9 @@ DISTILL_MIN = {"attenuations_db": [0.0]}
         "decay-out-of-range",
         "negative-attenuation", "negative-squeezing", "negative-r1-db",
         "sweep-negative-r1-db", "sweep-refine-tolerance", "huge-k-modes",
-        "n-max-above-bound", "grid-points-above-bound", "r1-db-huge-int"])
+        "n-max-above-bound", "grid-points-above-bound", "r1-db-huge-int",
+        "optimizer-not-object", "missing-file", "r1-db-5001-digits",
+        "not-utf-8", "invalid-json", "top-level-array"])
 def test_bad_config_is_config_error_before_any_work(
         tmp_path, capsys, monkeypatch, experiment, payload, named):
     def no_work(*args):
@@ -478,7 +495,8 @@ def test_bad_config_is_config_error_before_any_work(
     path = write_config(tmp_path, payload)
     assert main([experiment, "--config", path]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
     assert named in err
 
 

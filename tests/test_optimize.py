@@ -349,9 +349,10 @@ def test_max_fidelity_profile_builds_states_once(monkeypatch, kind):
                              SweepConfig(grid_points=grid_points))
         # the input and the target state, however many T are tried
         states[grid_points] = calls["coherent_state"]
-        # one diagonal per distinct T evaluated; the optimum reuses its own
+        # one diagonal per distinct T evaluated, and one more for the
+        # herald probability at the optimum
         (record,) = records
-        assert calls["nla_diagonal"] == len({t for t, _ in record})
+        assert calls["nla_diagonal"] == len({t for t, _ in record}) + 1
         assert calls["_herald"] == calls["nla_diagonal"]
         assert len(record) > grid_points
     assert states[5] == states[50] == 2
@@ -371,11 +372,45 @@ def test_max_fidelity_profiles_share_builds_across_the_group(monkeypatch,
     assert all(len(record) > grid_points for record in records)
     refines = sum(len(record) - grid_points for record in records)
     # one diagonal per grid T for the whole group and one herald step per
-    # (alpha, grid T); each refinement builds its own
-    assert calls["nla_diagonal"] == grid_points + refines
-    assert calls["_herald"] == len(alphas) * grid_points + refines
+    # (alpha, grid T); each refinement builds its own, and each row one
+    # more at its optimum
+    assert calls["nla_diagonal"] == grid_points + refines + len(rows)
+    assert calls["_herald"] == (len(alphas) * grid_points + refines
+                                + len(rows))
     # one input per alpha and one target per (alpha, gain) row
     assert calls["coherent_state"] == len(alphas) + len(rows)
+
+
+@pytest.mark.parametrize("phase", ("refine", "re-score"))
+def test_max_fidelity_profiles_guard_after_the_grid(monkeypatch, phase):
+    # every grid T passes; the guard trips at the first refinement T, or
+    # only at the re-score of t_star once refine has returned
+    cfg = SweepConfig(grid_points=12, refine_tolerance=1e-3)
+    grid = {float(t) for t in cfg.t_grid}
+    search, returned = optimize.refine, []
+
+    def recorded(*args):
+        returned.append(False)
+        result = search(*args)
+        returned[-1] = True
+        return result
+
+    def guarded(kind, n_units, t, n_max):
+        if phase == "refine" and float(t) not in grid or (
+                phase == "re-score" and returned and returned[-1]):
+            raise TruncationError(f"off-grid T={t}")
+        return nla.nla_diagonal(kind, n_units, t, n_max)
+
+    monkeypatch.setattr(optimize, "nla_diagonal", guarded)
+    monkeypatch.setattr(optimize, "refine", recorded)
+    rows = [(0.3, 1.2), (0.6, 1.5)]
+    outcomes = max_fidelity_profiles(rows, "QS", 2, 20, cfg)
+    assert returned == [phase == "re-score"] * len(rows)
+    assert all(isinstance(o, TruncationError) for o in outcomes)
+    assert all(o.__traceback__ is None for o in outcomes)
+    assert all(str(o).startswith("off-grid T=") for o in outcomes)
+    with pytest.raises(TruncationError, match="off-grid T="):
+        max_fidelity_profile(0.3, 1.2, "QS", 2, 20, cfg)
 
 
 def _truncation_message(search):
@@ -430,9 +465,9 @@ def test_maximize_total_logneg_consistent_with_distill():
     pytest.param(0.2, 0.8, "grid", 0.0, id="flat-grid")))
 def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
                                                   optimum, r1_db):
-    # the result at t_star is the one the search computed, not a rerun,
-    # whether t_star is a refinement T or, above T = 0.5 where the log-
-    # negativity rises to the region's edge, the grid's first maximum
+    # each T the search tries is scored once, and t_star once more for the
+    # result, whether t_star is a refinement T or, above T = 0.5 where the
+    # log-negativity rises to the region's edge, the grid's first maximum
     lossy = lossy_pdc_densities(PdcSpec.from_scenario(2, r1_db, k_modes=3),
                                 transmissivity_from_db(8.0), 20)
     scored, records = [], []
@@ -446,13 +481,15 @@ def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
     cfg = SweepConfig(t_min, t_max, grid_points=8, refine_tolerance=1e-3)
     t_star, best = maximize_total_logneg(lossy, "PC", 2, "filtered", 2, cfg)
     (record,) = records
-    assert scored == [t for t, _ in record]
+    assert scored == [t for t, _ in record] + [t_star]
     on_grid = t_star in [float(t) for t in cfg.t_grid]
     assert on_grid == (optimum == "grid")
     assert (t_star, best.total_logneg) in record
     redo = apply_strategy(lossy, "PC", 2, t_star, "filtered", 2)
     assert best.total_logneg == redo.total_logneg
     assert best.success_prob == redo.success_prob
+    assert np.array_equal(best.per_supermode_logneg,
+                          redo.per_supermode_logneg)
 
 
 def test_maximize_total_logneg_beats_fixed_choice():
