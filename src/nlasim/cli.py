@@ -21,7 +21,7 @@ All keys but the grids have defaults, ``optimizer``'s from ``SweepConfig``:
 
     {"experiment": "distill",            # optional, must match the subcommand
      "out": "rows.csv", "format": "csv", # or "jsonl"
-     "workers": 4,                       # default: all cores
+     "workers": 4,                       # default and cap: all cores
      "n_max": 20,
      "optimizer": {"grid_points": 60, "t_min": 1e-4, "t_max": 0.9999,
                    "refine_tolerance": 1e-6},
@@ -295,8 +295,8 @@ def _worker_count(workers) -> int:
 
 
 def _fan_out(worker, tasks, workers):
-    n_workers = max(1, min(_worker_count(workers), len(tasks)))
-    if n_workers == 1:
+    n_workers = min(_worker_count(workers), os.cpu_count() or 1, len(tasks))
+    if n_workers <= 1:
         return [worker(*task) for task in tasks]
     # imported only for a pool, so serial runs never load multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -2,8 +2,8 @@
 
 States, diagonal operators, beam-splitter unitaries, pure-loss channels,
 partial transposition and the negativity-based entanglement measures.  The
-bipartite density code is the dense reference that the photon-number-graded
-distillation kernel of :mod:`nlasim.distill` is tested against.
+bipartite density code is the dense reference for the photon-number-graded
+kernel of :mod:`nlasim.distill`; as there, loss and diagonals act on arm B.
 
 Conventions
 -----------
@@ -245,9 +245,8 @@ def loss_kraus_operators(eta: float, n_max: int) -> np.ndarray:
     return kraus
 
 
-def apply_loss(rho: BipartiteDensity, arm: Arm,
-               eta: float) -> BipartiteDensity:
-    """Pure-loss channel of transmissivity ``eta`` in [0, 1] on one arm;
+def apply_loss(rho: BipartiteDensity, eta: float) -> BipartiteDensity:
+    """Pure-loss channel of transmissivity ``eta`` in [0, 1] on arm B;
     trace preserving for any ``eta``, the exact eta = 0 limit included.
     """
     kraus = loss_kraus_operators(eta, rho.n_max)
@@ -255,23 +254,16 @@ def apply_loss(rho: BipartiteDensity, arm: Arm,
     t = rho.matrix.reshape(d, d, d, d)
     out = np.zeros_like(t)
     for k in kraus:
-        if arm == "B":
-            # K rho K^dag on the second index pair
-            tmp = np.tensordot(k, t, axes=([1], [1]))       # (m, a, A, B)
-            tmp = np.tensordot(tmp, k.conj(), axes=([3], [1]))  # (m, a, A, M)
-            out += tmp.transpose(1, 0, 2, 3)
-        elif arm == "A":
-            tmp = np.tensordot(k, t, axes=([1], [0]))       # (n, b, A, B)
-            tmp = np.tensordot(tmp, k.conj(), axes=([2], [1]))  # (n, b, B, N)
-            out += tmp.transpose(0, 1, 3, 2)
-        else:
-            raise ValueError("arm must be 'A' or 'B'")
+        # K rho K^dag on the second index pair
+        tmp = np.tensordot(k, t, axes=([1], [1]))       # (m, a, A, B)
+        tmp = np.tensordot(tmp, k.conj(), axes=([3], [1]))  # (m, a, A, M)
+        out += tmp.transpose(1, 0, 2, 3)
     return BipartiteDensity(out.reshape(d * d, d * d))
 
 
-def apply_diagonal(rho: BipartiteDensity, arm: Arm,
+def apply_diagonal(rho: BipartiteDensity,
                    coeffs: np.ndarray) -> BipartiteDensity:
-    """Sandwich D rho D^dag with a Fock-diagonal operator on one arm.
+    """Sandwich D rho D^dag with a Fock-diagonal operator on arm B.
 
     The result keeps the (generally reduced) post-selection trace.
     """
@@ -280,12 +272,7 @@ def apply_diagonal(rho: BipartiteDensity, arm: Arm,
         raise ValueError("diagonal operator is shorter than the density arm")
     dvec = coeffs[:d]
     t = rho.matrix.reshape(d, d, d, d)
-    if arm == "B":
-        out = t * dvec[None, :, None, None] * dvec[None, None, None, :]
-    elif arm == "A":
-        out = t * dvec[:, None, None, None] * dvec[None, None, :, None]
-    else:
-        raise ValueError("arm must be 'A' or 'B'")
+    out = t * dvec[None, :, None, None] * dvec[None, None, None, :]
     return BipartiteDensity(out.reshape(d * d, d * d))
 
 

@@ -1,9 +1,11 @@
 """Experiment runner: config validation, row emission, verify, exit codes."""
 
 import argparse
+import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -84,6 +86,12 @@ def test_experiment_mismatch_rejected():
     with pytest.raises(ConfigError):
         build_experiment("amplify", {"experiment": "distill", "alphas": [0.2],
                                      "target_gains": [1.0], "n_units": [1]})
+
+
+def test_unknown_experiment_is_config_error():
+    message = "experiment: unknown experiment 'nope'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_experiment("nope", {})
 
 
 def test_scalar_defaults_filled():
@@ -525,6 +533,30 @@ def test_oserror_from_the_work_is_not_an_out_error(tmp_path, monkeypatch):
     path = write_config(tmp_path, DISTILL_MIN)
     with pytest.raises(OSError, match="pool failed"):
         main(["distill", "--config", path, "--out", str(tmp_path / "a.csv")])
+
+
+def test_fan_out_pool_never_outgrows_the_cpus(monkeypatch):
+    # a serial stand-in records the pool size and starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cpus = os.cpu_count() or 1
+    tasks = [(i, 1) for i in range(cpus + 8)]
+    assert cli._fan_out(pow, tasks, 10 ** 6) == list(range(cpus + 8))
+    assert sizes == ([cpus] if cpus > 1 else [])
 
 
 def test_override_flags_are_the_table_keys():

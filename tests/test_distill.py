@@ -1,6 +1,7 @@
 """Distillation pipeline: source scenarios, strategies, references, cascades."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -34,7 +35,7 @@ def scenario1(r1_db=5.0):
 # log-negativity of nlasim.fock, one supermode at a time
 
 def dense_source(pdc, eta, n_max):
-    return [apply_loss(tmsv_density(r, n_max), "B", eta)
+    return [apply_loss(tmsv_density(r, n_max), eta)
             for r in pdc.squeezings]
 
 
@@ -57,7 +58,7 @@ def dense_strategy(dense, nla, strategy="unfiltered", amplified_index=1):
         else:
             lognegs.append(log_negativity(rho))
             continue
-        acted = apply_diagonal(rho, "B", op)
+        acted = apply_diagonal(rho, op)
         if acted.trace_value <= 0.0:
             raise ValueError("herald probability vanished")
         prob *= acted.trace_value
@@ -322,7 +323,7 @@ def test_success_prob_is_product_of_heralds():
     for i, rho in enumerate(dense_source(pdc, 1.0, N_MAX)):
         op = nla_diagonal("PC", 1, 0.2, N_MAX) if i == 0 else \
             attenuator_diagonal(0.2, N_MAX)
-        probs.append(apply_diagonal(rho, "B", op).trace_value)
+        probs.append(apply_diagonal(rho, op).trace_value)
     assert res.success_prob == pytest.approx(np.prod(probs), rel=1e-12)
 
 
@@ -545,3 +546,16 @@ def test_determinism_bitwise():
     b = apply_strategy(lossy_pdc_densities(pdc, eta, N_MAX), "QS", 2, 0.07)
     assert a.total_logneg == b.total_logneg
     assert a.success_prob == b.success_prob
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: scenario_lambdas(1, k_modes=0), "k_modes must be >= 1"),
+    (lambda: lossy_pdc_densities(scenario1(), -0.1, N_SMALL),
+     "eta must lie in [0, 1]"),
+    (lambda: lossy_pdc_densities(scenario1(), 1.1, N_SMALL),
+     "eta must lie in [0, 1]"),
+], ids=["k-modes-0", "eta-below-0", "eta-above-1"])
+def test_distill_guard_raises(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        call()
+    assert raised.type is ValueError

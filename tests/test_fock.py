@@ -1,6 +1,7 @@
 """Kernel checks: states, channels, partial transpose, log-negativity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from nlasim import fock
 from nlasim.fock import (BipartiteDensity, NormalizationError,
                          TruncationError, apply_diagonal, apply_loss,
                          attenuator_diagonal, beam_splitter_unitary,
-                         coherent_state,
+                         coherent_state, guard_truncation,
                          log_negativity, loss_kraus_operators, negativity,
                          partial_transpose, squeezing_from_db,
                          squeezing_to_db, tmsv_density, tmsv_schmidt,
@@ -164,14 +165,14 @@ def test_loss_kraus_trace_preserving():
 def test_loss_channel_composes():
     # eta1 after eta2 equals eta1*eta2 in one shot
     rho = BipartiteDensity(random_density(25), trace_value=1.0)
-    once = apply_loss(apply_loss(rho, "B", 0.8), "B", 0.7)
-    combined = apply_loss(rho, "B", 0.56)
+    once = apply_loss(apply_loss(rho, 0.8), 0.7)
+    combined = apply_loss(rho, 0.56)
     assert np.abs(once.matrix - combined.matrix).max() < 1e-13
 
 
 def test_loss_preserves_trace_and_only_touches_one_arm():
     rho = BipartiteDensity(random_density(25), trace_value=1.0)
-    out = apply_loss(rho, "B", transmissivity_from_db(3.0))
+    out = apply_loss(rho, transmissivity_from_db(3.0))
     assert np.trace(out.matrix) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(out.arm_populations("A").sum(), 1.0, atol=1e-12)
     # arm A marginal untouched by loss on B
@@ -186,10 +187,10 @@ def test_loss_on_coherent_state_shrinks_amplitude():
     st = coherent_state(alpha, 18)
     vac = np.zeros_like(st)
     vac[0] = 1.0
-    joint = np.outer(np.kron(st, vac), np.kron(st, vac).conj())
-    rho = apply_loss(BipartiteDensity(joint, trace_value=1.0), "A", eta)
+    joint = np.outer(np.kron(vac, st), np.kron(vac, st).conj())
+    rho = apply_loss(BipartiteDensity(joint, trace_value=1.0), eta)
     target = coherent_state(math.sqrt(eta) * alpha, 18)
-    pops = rho.arm_populations("A")
+    pops = rho.arm_populations("B")
     assert np.abs(pops - np.abs(target) ** 2).max() < 1e-12
 
 
@@ -200,12 +201,12 @@ def test_apply_diagonal_matches_dense_conjugation():
     d = 12
     rho = BipartiteDensity(random_density(d * d), trace_value=1.0)
     coeffs = rng.normal(size=d)
-    out = apply_diagonal(rho, "B", coeffs)
+    out = apply_diagonal(rho, coeffs)
     dense = np.kron(np.eye(d), np.diag(coeffs))
     want = dense @ rho.matrix @ dense.conj().T
     assert np.abs(out.matrix - want).max() < 1e-12
     with pytest.raises(ValueError, match="shorter than the density arm"):
-        apply_diagonal(rho, "B", coeffs[:-1])
+        apply_diagonal(rho, coeffs[:-1])
 
 
 def test_attenuator_and_vacuum_projection():
@@ -283,3 +284,49 @@ def test_hermiticity_guard():
     m[0, 1] += 1e-6
     with pytest.raises(ValueError):
         BipartiteDensity(m, trace_value=1.0)
+
+
+# ---------------------------------------------------------------------------
+# input guards: each raises its own type with its own message
+
+MIXED = np.eye(4) / 4      # maximally mixed two-qubit-sized density
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: attenuator_diagonal(0.0, 4), ValueError,
+     "transmissivity must lie in (0, 1]"),
+    (lambda: attenuator_diagonal(1.5, 4), ValueError,
+     "transmissivity must lie in (0, 1]"),
+    (lambda: BipartiteDensity(np.eye(4)[:3]), ValueError,
+     "matrix must be square"),
+    (lambda: BipartiteDensity(np.eye(3) / 3), ValueError,
+     "matrix dimension must be a perfect square"),
+    (lambda: BipartiteDensity(np.full((4, 4), np.nan)), ValueError,
+     "matrix must be finite"),
+    (lambda: BipartiteDensity(MIXED, trace_value=0.5), ValueError,
+     "stored trace 0.5 disagrees with matrix trace 1.0"),
+    (lambda: BipartiteDensity(np.zeros((4, 4))).normalized(),
+     NormalizationError, "trace is not positive"),
+    (lambda: BipartiteDensity(MIXED).arm_populations("C"), ValueError,
+     "arm must be 'A' or 'B'"),
+    (lambda: BipartiteDensity(np.diag([1.5, -0.5, 0.0, 0.0])).validate(),
+     ValueError, "matrix has eigenvalue -5.000e-01 < 0"),
+    (lambda: loss_kraus_operators(-0.1, 4), ValueError,
+     "eta must lie in [0, 1]"),
+    (lambda: loss_kraus_operators(1.1, 4), ValueError,
+     "eta must lie in [0, 1]"),
+    (lambda: partial_transpose(BipartiteDensity(MIXED), "C"), ValueError,
+     "arm must be 'A' or 'B'"),
+], ids=["attenuator-T-0", "attenuator-T-above-1", "non-square",
+        "dimension-not-square", "non-finite", "stored-trace",
+        "normalized-zero", "populations-arm", "negative-eigenvalue", "loss-eta-below-0",
+        "loss-eta-above-1", "partial-transpose-arm"])
+def test_fock_guard_raises(call, error, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        call()
+    assert raised.type is error
+
+
+def test_guard_truncation_passes_all_zero_populations():
+    # no peak bin to compare the top bin against: nothing to guard
+    assert guard_truncation(np.zeros(6)) is None

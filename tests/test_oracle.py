@@ -6,6 +6,7 @@ freeze a handful of circuit outputs as regression anchors.
 """
 
 import math
+import re
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -189,3 +190,28 @@ def test_cascaded_is_elementwise_power():
     single = pc_nla_diagonal(1, t, 6)
     triple = nla_diagonal("CascadedPC", 3, t, 6)
     assert np.abs(triple - single ** 3).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# input guards
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: oracle.nsplitter_unitary(0), "need at least one path"),
+    (lambda: oracle.qs_circuit_operator(0.5, 0.5, 3, detect="b"),
+     "detect must be 'a' or 'c'"),
+    (lambda: oracle.multimode_qs_operator(0.5, 0.5, [1.0, 0.0, 0.0]),
+     "gammas must have exactly two components"),
+    (lambda: oracle.multimode_qs_operator(0.5, 0.5, [0.0, 0.0]),
+     "gammas must not both vanish"),
+    (lambda: oracle.pc_nla_multinomial(2, 0.0, 3),
+     "transmissivity must lie strictly in (0, 1)"),
+    (lambda: oracle.pc_nla_multinomial(2, 1.0, 3),
+     "transmissivity must lie strictly in (0, 1)"),
+    (lambda: oracle.qs_nla_splitter_circuit(0, 0.5, 3),
+     "need at least one scissors unit"),
+], ids=["splitter-0-paths", "detect-b", "gammas-shape", "gammas-zero",
+        "multinomial-T-0", "multinomial-T-1", "splitter-circuit-0-units"])
+def test_oracle_guard_raises(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        call()
+    assert raised.type is ValueError
