@@ -29,15 +29,15 @@ All keys but the grids have defaults, ``optimizer``'s from ``SweepConfig``:
      "attenuations_db": [0, 5, 10], "kinds": ["QS", "PC"], "n_units": [2],
      "strategy": "unfiltered", "amplified_index": 1}
 
-Independent tasks fan out over a process pool: one per row for ``distill``,
-``cascade-compare`` and ``sweep``, one per (kind, N) group for ``amplify``,
-whose rows share that group's coarse-grid amplifier diagonals; when there
-are fewer groups than workers, each group's rows are cut into contiguous
-runs, one task each, so that every worker has work.  Rows are emitted in
-sorted parameter order regardless of worker scheduling, a failing run
-reports the first failing row in that order, and float cells use 17
-significant digits, so identical configs give byte-identical output at any
-worker count.
+Independent tasks fan out over a pool of at most ``os.cpu_count()``
+processes: one per row for ``distill`` and ``cascade-compare``, one per
+(kind, N) group for ``amplify``, whose rows share that group's coarse-grid
+amplifier diagonals, its rows cut into contiguous runs when there are fewer
+groups than pool workers.  ``sweep`` scores its T grid in one call, with no
+pool.  Rows are emitted in sorted parameter order regardless of worker
+scheduling, a failing run reports the first failing row in that order, and
+float cells use 17 significant digits, so identical configs give
+byte-identical output at any worker count.
 
 Exit codes: 0 success, 1 config/validation error or unwritable ``--out``,
 2 numerical-guard failure, 3 verification failure.
@@ -57,7 +57,8 @@ import numpy as np
 from . import distill, fock, nla, oracle
 from .distill import (DEFAULT_DECAY, DEFAULT_SUPERMODES, PdcSpec,
                       _gaussian_log_negativities, _log_negativities,
-                      apply_strategy, lossy_pdc_densities, reference_no_nla)
+                      lossy_pdc_densities, reference_no_nla,
+                      score_transmissivities)
 from .fock import (NormalizationError, TruncationError, squeezing_from_db,
                    transmissivity_from_db)
 from .nla import VALID_KINDS
@@ -291,11 +292,11 @@ def _distill_point(pdc, eta, kind, n_units, receiver, n_max, sweep):
 
 
 def _worker_count(workers) -> int:
-    return os.cpu_count() or 1 if workers is None else workers
+    return min(workers or os.cpu_count() or 1, os.cpu_count() or 1)
 
 
 def _fan_out(worker, tasks, workers):
-    n_workers = min(_worker_count(workers), os.cpu_count() or 1, len(tasks))
+    n_workers = min(_worker_count(workers), len(tasks))
     if n_workers <= 1:
         return [worker(*task) for task in tasks]
     # imported only for a pool, so serial runs never load multiprocessing
@@ -368,8 +369,7 @@ def run_sweep(p: dict):
     lossy = lossy_pdc_densities(p["pdc"], transmissivity_from_db(db),
                                 p["n_max"])
     ts = p["optimizer"].t_grid
-    tasks = [(lossy, kind, n_units, t, *p["receiver"]) for t in ts]
-    results = _fan_out(apply_strategy, tasks, p["workers"])
+    results = score_transmissivities(lossy, kind, n_units, ts, *p["receiver"])
     header = ["attenuation_db", "kind", "n_units", "n_max", "t",
               "total_logneg", "success_prob"]
     rows = [[p["attenuation_db"], kind, n_units, p["n_max"], float(t),

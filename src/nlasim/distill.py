@@ -31,6 +31,10 @@ Strategy = Literal["unfiltered", "filtered"]
 DEFAULT_SUPERMODES = 5
 DEFAULT_DECAY = 0.6
 
+# elements of a stack batched over T, (T, d_A, w, w) blocks or (T, K, d_A,
+# d_B) populations: 4 T of a 21-square PC slice, so peak memory stays flat
+_STACK_ELEMENTS = 4 * 21 ** 3
+
 
 def scenario_lambdas(scenario: int, k_modes: int = DEFAULT_SUPERMODES,
                      decay: float = DEFAULT_DECAY) -> np.ndarray:
@@ -124,6 +128,24 @@ def lossy_pdc_densities(spec: PdcSpec, eta: float, n_max: int,
                             * (1.0 - eta) ** (lost / 2.0))
 
 
+def _packed_blocks(amp: np.ndarray, w: int) -> np.ndarray:
+    """The (K, d_A, w, w) packed partial-transpose blocks of the stack, cut to
+    arm-B width ``w``: see :func:`_log_negativities`."""
+    d_a = amp.shape[1]
+    offset = np.arange(d_a)[:, None] - np.arange(w)     # s - j
+    wrap = offset // d_a
+    half = amp[:, offset % d_a, :w]
+    return (half * half.swapaxes(-1, -2)
+            * (wrap[:, :, None] == wrap[:, None, :]))
+
+
+def _block_log_negativities(blocks: np.ndarray) -> np.ndarray:
+    """log2(1 + 2 negativity) of each (d_A, w, w) stack of packed blocks."""
+    evals = np.linalg.eigvalsh(blocks)
+    negativity = -np.where(evals < 0.0, evals, 0.0).sum(axis=(-2, -1))
+    return np.log2(1.0 + 2.0 * negativity)
+
+
 def _log_negativities(amp: np.ndarray) -> np.ndarray:
     """log2(1 + 2 negativity) of each graded state in the (K, d_A, d_B) stack.
 
@@ -131,25 +153,22 @@ def _log_negativities(amp: np.ndarray) -> np.ndarray:
     that of the transposed arm B.  Indexed by arm B's photon number j = s - n,
     B_s[j, j'] = amp[s - j, j'] amp[s - j', j].  A zero arm-B column, or an
     arm-A index outside [0, d_A), gives a zero row, which adds only zero
-    eigenvalues.  So each slice is cut to its arm-B support, the last nonzero
-    column plus one: a slice of width <= 1 has arm B in vacuum, is a product
-    state and scores exactly 0, and the rest take one batched eigensolve of
-    w-square blocks, w their widest support.
+    eigenvalues.  So each slice is cut to its arm-B support w, the last
+    nonzero column plus one: a slice of width <= 1 has arm B in vacuum, is a
+    product state and scores exactly 0.  Block s has the rows j in
+    (s - d_A, s], disjoint from those of block s + d_A, so d_A packed blocks
+    hold every block once: half * half^T with half[k, s, j, j'] =
+    amp[k, (s - j) mod d_A, j'], masked to (s - j) // d_A == (s - j') // d_A
+    so that no entry couples two blocks.  One batched eigensolve takes them,
+    d_A blocks (not d_A + w - 1) w-square for w the widest support.
     """
     k_modes, d_a, d_b = amp.shape
     width = (amp.any(axis=1) * np.arange(1, d_b + 1)).max(axis=1)
     lognegs = np.zeros(k_modes)
     live = width > 1
-    if not live.any():
-        return lognegs
-    w = int(width.max())
-    rows = np.arange(d_a + w - 1)[:, None] - np.arange(w)
-    inside = (rows >= 0) & (rows < d_a)
-    # half[k, s, j, j'] = amp[k, s - j, j']
-    half = amp[live][:, np.clip(rows, 0, d_a - 1), :w] * inside[..., None]
-    evals = np.linalg.eigvalsh(half * half.swapaxes(-1, -2))
-    negativity = -np.where(evals < 0.0, evals, 0.0).sum(axis=(1, 2))
-    lognegs[live] = np.log2(1.0 + 2.0 * negativity)
+    if live.any():
+        lognegs[live] = _block_log_negativities(
+            _packed_blocks(amp[live], int(width.max())))
     return lognegs
 
 
@@ -180,8 +199,8 @@ def _gaussian_log_negativities(amp: np.ndarray) -> np.ndarray:
     The truncated state differs from this limit by its tail: the graded
     kernel is within 2 (2/ln 2) tanh(r')^(n_max+1) / (1 - tanh r') of it.
     """
-    a00, a10, a11 = amp[:, 0, 0] ** 2, amp[:, 1, 0] ** 2, amp[:, 1, 1] ** 2
-    lognegs = np.zeros(amp.shape[0])
+    a00, a10, a11 = (amp[..., i, j] ** 2 for i, j in ((0, 0), (1, 0), (1, 1)))
+    lognegs = np.zeros(amp.shape[:-2])
     live = a11 > 0.0
     if not live.any():
         return lognegs
@@ -195,6 +214,81 @@ def _gaussian_log_negativities(amp: np.ndarray) -> np.ndarray:
                    4.0 * eta * x * num / (root - tilt))
     lognegs[live] = np.log1p(gap / num) / math.log(2.0)
     return lognegs
+
+
+def score_transmissivities(lossy: np.ndarray, kind: NlaKind, n_units: int,
+                           transmissivities, strategy: Strategy = "unfiltered",
+                           amplified_index: int = 1) -> list[DistillResult]:
+    """:func:`apply_strategy` at each T of ``transmissivities``, bitwise.
+
+    All diagonals are built first, in order, and one that fails raises once
+    the T before it pass the guards, so a grid raises what its first failing
+    T raises alone.  The amplified slice's blocks under diagonal d and herald
+    probability p are its packed blocks H times c_j c_j', c = d / sqrt(p):
+    H is built once, and the T are scored a few at a time.
+    """
+    k_modes, dim, _ = lossy.shape
+    diagonals, failure = [], None
+    for t in transmissivities:
+        try:
+            diagonals.append((nla_diagonal(kind, n_units, t, dim - 1),
+                              _passive_diagonal(kind, n_units, t, dim - 1)))
+        except (ValueError, ArithmeticError) as exc:
+            failure = exc       # raised once the earlier T pass their guards
+            break
+    if not diagonals:
+        raise failure
+    _check_receiver(strategy, amplified_index, k_modes)
+    target = amplified_index - 1
+    targets, passive = map(np.array, zip(*diagonals))
+    lognegs = np.empty((len(targets), k_modes))
+    heralded = [target] if strategy == "filtered" else list(range(k_modes))
+    bystanders = [i for i in heralded if i != target]
+    if strategy == "filtered":
+        others = np.arange(k_modes) != target
+        lognegs[:, others] = _log_negativities(lossy[others])
+    pos = heralded.index(target)
+    coeffs = np.repeat(passive[:, None], len(heralded), axis=1)
+    coeffs[:, pos] = targets
+    amp = lossy[target]
+    widths = (((targets != 0.0) & amp.any(axis=0))
+              * np.arange(1, dim + 1)).max(axis=1)
+    blocks = _packed_blocks(amp[None], int(widths.max()))[0]
+    squares, corners = lossy[heralded] ** 2, lossy[bystanders, :2, :2]
+    chunk = max(1, _STACK_ELEMENTS // max(blocks.size, squares.size))
+    probs = np.empty(len(targets))
+    for start in range(0, len(targets), chunk):
+        part = slice(start, start + chunk)
+        pops = squares * coeffs[part, :, None, :] ** 2
+        arms = (pops.sum(axis=3), pops.sum(axis=2))
+        p = arms[1].sum(axis=2)
+        # suspect at half the guard's ratio; the guard itself then decides
+        suspect = p <= 0.0
+        for pop in arms:
+            suspect |= pop[..., -1] > 0.5e-6 * pop.max(axis=-1)
+        for t in np.flatnonzero(suspect.any(axis=1)):
+            for h, i in enumerate(heralded):
+                if p[t, h] <= 0.0:
+                    raise NormalizationError(
+                        f"herald probability vanished on supermode {i + 1}")
+                for arm, pop in zip("AB", arms):
+                    guard_truncation(pop[t, h] / p[t, h],
+                                     what=f"supermode {i + 1} arm {arm}")
+        probs[part] = p.prod(axis=1)
+        if bystanders:
+            lognegs[part, bystanders] = _gaussian_log_negativities(
+                corners * coeffs[part, bystanders, None, :2])
+        scale = coeffs[part, pos] / np.sqrt(p[:, pos])[:, None]
+        scores = lognegs[part, target]          # a view: written in place
+        for w in set(widths[part].tolist()):
+            rows = widths[part] == w
+            cc = scale[rows, :w, None] * scale[rows, None, :w]
+            scores[rows] = 0.0 if w <= 1 else _block_log_negativities(
+                blocks[:, :w, :w] * cc[:, None])
+    if failure is not None:
+        raise failure
+    return [DistillResult(row, float(row.sum()), float(prob))
+            for row, prob in zip(lognegs, probs)]
 
 
 def apply_strategy(lossy: np.ndarray, kind: NlaKind, n_units: int,
@@ -211,37 +305,11 @@ def apply_strategy(lossy: np.ndarray, kind: NlaKind, n_units: int,
     bystanders, which the circuit attenuates or vacuum-projects, in closed
     form (:func:`_gaussian_log_negativities`).  A bad amplifier, then an
     unknown strategy or an index not an integer in [1, K], is a ValueError.
+    The one-T case of :func:`score_transmissivities`.
     """
-    k_modes, dim, _ = lossy.shape
-    diagonal = nla_diagonal(kind, n_units, transmissivity, dim - 1)
-    _check_receiver(strategy, amplified_index, k_modes)
-    target = amplified_index - 1
-    coeffs = np.ones((k_modes, dim))
-    bystanders = np.zeros(k_modes, dtype=bool)
-    if strategy == "filtered":
-        heralded = [target]
-    else:
-        heralded = range(k_modes)
-        coeffs[:] = _passive_diagonal(kind, n_units, transmissivity, dim - 1)
-        bystanders[:] = True
-        bystanders[target] = False
-    coeffs[target] = diagonal
-    acted = lossy * coeffs[:, None, :]
-    prob = 1.0
-    for i in heralded:
-        p = float((acted[i] ** 2).sum())
-        if p <= 0.0:
-            raise NormalizationError(
-                f"herald probability vanished on supermode {i + 1}")
-        prob *= p
-        acted[i] /= math.sqrt(p)
-        pops = acted[i] ** 2
-        guard_truncation(pops.sum(axis=1), what=f"supermode {i + 1} arm A")
-        guard_truncation(pops.sum(axis=0), what=f"supermode {i + 1} arm B")
-    lognegs = np.empty(k_modes)
-    lognegs[bystanders] = _gaussian_log_negativities(acted[bystanders])
-    lognegs[~bystanders] = _log_negativities(acted[~bystanders])
-    return DistillResult(lognegs, float(lognegs.sum()), prob)
+    (result,) = score_transmissivities(lossy, kind, n_units, [transmissivity],
+                                       strategy, amplified_index)
+    return result
 
 
 def reference_no_nla(lossy: np.ndarray) -> DistillResult:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import apply_strategy
+from .distill import apply_strategy, score_transmissivities
 from .fock import coherent_state
 from .nla import _herald, _integer, _target_sign, nla_diagonal
 
@@ -190,13 +190,20 @@ def maximize_total_logneg(lossy: np.ndarray, kind: str, n_units: int,
     """T-optimised :func:`apply_strategy` on a lossy source.
 
     ``lossy`` is the stack from :func:`lossy_pdc_densities`.  Returns
-    ``(t_star, result)``: :func:`maximize_over_T` of the total
-    log-negativity, then the :class:`DistillResult` of one more
-    :func:`apply_strategy` call at ``t_star``.
+    ``(t_star, result)``: one :func:`score_transmissivities` call scores the
+    coarse grid, :func:`refine` golden-sections the total log-negativity with
+    one-T :func:`apply_strategy` calls, and one more call at ``t_star``
+    gives the :class:`DistillResult`.
     """
-    def score(t: float):
-        return apply_strategy(lossy, kind, n_units, t, strategy,
-                              amplified_index)
+    cfg = config or SweepConfig()
+    receiver = (strategy, amplified_index)
 
-    t_star, _ = maximize_over_T(lambda t: score(t).total_logneg, config)
+    def score(t: float):
+        return apply_strategy(lossy, kind, n_units, t, *receiver)
+
+    ts = cfg.t_grid
+    values = [_finite(t, res.total_logneg) for t, res in zip(
+        ts, score_transmissivities(lossy, kind, n_units, ts, *receiver))]
+    t_star, _ = refine(lambda t: _finite(t, score(t).total_logneg), values,
+                       cfg)
     return t_star, score(t_star)

@@ -245,15 +245,11 @@ def test_sweep_emits_grid(tmp_path, capsys):
 
 
 def test_sweep_deterministic_across_workers(tmp_path, monkeypatch):
-    # the T grid fans out like every other runner's tasks
-    fanned = []
+    # the T grid is one batched call: no pool at any worker count
+    def no_pool(*args):
+        raise AssertionError("sweep started a pool")
 
-    def spy(worker, tasks, workers):
-        fanned.append((len(tasks), workers))
-        return fan_out(worker, tasks, workers)
-
-    fan_out = cli._fan_out
-    monkeypatch.setattr(cli, "_fan_out", spy)
+    monkeypatch.setattr(cli, "_fan_out", no_pool)
     path = write_config(tmp_path, {
         "scenario": 2, "r1_db": 3.0, "k_modes": 3, "attenuation_db": 5.0,
         "kind": "PC", "n_units": 2, "n_max": 18,
@@ -264,7 +260,6 @@ def test_sweep_deterministic_across_workers(tmp_path, monkeypatch):
         assert main(["sweep", "--config", path, "--out", str(out),
                      "--workers", workers]) == 0
         outputs.append(out.read_bytes())
-    assert fanned == [(6, 1), (6, 2)]
     assert outputs[0].count(b"\n") == 7
     assert outputs[1] == outputs[0]
 
@@ -557,6 +552,28 @@ def test_fan_out_pool_never_outgrows_the_cpus(monkeypatch):
     tasks = [(i, 1) for i in range(cpus + 8)]
     assert cli._fan_out(pow, tasks, 10 ** 6) == list(range(cpus + 8))
     assert sizes == ([cpus] if cpus > 1 else [])
+
+
+def test_amplify_cuts_groups_by_the_pool_it_gets(tmp_path, monkeypatch):
+    # a --workers past the CPU count cuts each group as the CPU count does:
+    # the pool is capped there, so more runs would only repeat grid work
+    handed = []
+
+    def serial(worker, tasks, workers):
+        handed.append(tasks)
+        return [worker(*task) for task in tasks]
+
+    monkeypatch.setattr(cli, "_fan_out", serial)
+    path = write_config(tmp_path, {**AMPLIFY_MIN, "alphas": [0.2, 0.4],
+                                   "n_units": [1]})
+    outputs = []
+    for workers in (os.cpu_count() or 1, 64):
+        out = tmp_path / f"amplify{workers}.csv"
+        assert main(["amplify", "--config", path, "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        outputs.append(out.read_bytes())
+    assert handed[1] == handed[0]
+    assert outputs[1] == outputs[0]
 
 
 def test_override_flags_are_the_table_keys():

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlasim
+from nlasim import distill
 from nlasim.distill import (PdcSpec, _gaussian_log_negativities,
-                            _log_negativities, apply_strategy,
-                            lossy_pdc_densities, reference_no_nla,
-                            scenario_lambdas)
+                            _log_negativities, _packed_blocks,
+                            apply_strategy, lossy_pdc_densities,
+                            reference_no_nla, scenario_lambdas,
+                            score_transmissivities)
 from nlasim.fock import (BipartiteDensity, TruncationError,
                          apply_diagonal, apply_loss, attenuator_diagonal,
                          guard_truncation, log_negativity, squeezing_from_db,
@@ -240,6 +243,34 @@ def test_support_cut_kernel_matches_padded_kernel(d_a, d_b, kinds, seed):
         assert abs(_log_negativities(amp[k:k + 1])[0] - got[k]) <= 1e-13
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d_a=st.integers(1, 9), d_b=st.integers(1, 9),
+       kinds=st.lists(st.sampled_from(SLICE_KINDS), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d_a=2, d_b=9, kinds=["dense"], seed=3)
+@example(d_a=9, d_b=2, kinds=["dense", "lossy"], seed=4)
+def test_packed_blocks_hold_every_block_once(d_a, d_b, kinds, seed):
+    # the d_A packed blocks are the direct sums of the d_A + d_B - 1 blocks
+    # B_s, s mod d_A, on any stack: square or not, triangular or not
+    rng = np.random.default_rng(seed)
+    amp = np.stack([random_slice(kind, d_a, d_b, rng) for kind in kinds])
+    blocks = _packed_blocks(amp, d_b)
+    want = np.zeros_like(blocks)
+    same = np.zeros(blocks.shape[1:], dtype=bool)
+    for s in range(d_a + d_b - 1):
+        rows = [j for j in range(d_b) if 0 <= s - j < d_a]
+        for j in rows:
+            for j2 in rows:
+                want[:, s % d_a, j, j2] = amp[:, s - j, j2] * amp[:, s - j2, j]
+                same[s % d_a, j, j2] = True
+    assert np.array_equal(blocks, want)
+    # partial-transpose Hermiticity, nothing across the mask, and the trace
+    assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+    assert not blocks[:, ~same].any()
+    traces = np.linalg.eigvalsh(blocks).sum(axis=(1, 2))
+    assert np.abs(traces - (amp ** 2).sum(axis=(1, 2))).max() <= 1e-13
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(r_db=st.floats(0.5, 8.0), n_max=st.integers(4, 40),
        channel_db=st.floats(0.0, 30.0), t=st.floats(0.01, 1.0))
@@ -284,23 +315,25 @@ def test_eigensolve_covers_only_entangleable_support(monkeypatch):
     lossy = lossy_pdc_densities(scenario1(), transmissivity_from_db(5.0),
                                 N_MAX)
     # scissors with N 2 leave arm B of the amplified supermode 3 columns and
-    # vacuum-project the four vacuum bystanders
+    # vacuum-project the four vacuum bystanders; a 21-row slice packs into
+    # 21 blocks, whatever its width
     apply_strategy(lossy, "QS", 2, 0.1)
-    assert shapes == [(1, 23, 3, 3)]
+    assert shapes == [(1, 21, 3, 3)]
     shapes.clear()
     reference_no_nla(lossy)
-    assert shapes == [(1, 41, 21, 21)]
+    assert shapes == [(1, 21, 21, 21)]
     shapes.clear()
     # five equal supermodes: unfiltered catalysis eigensolves only the
     # amplified slice and scores the four attenuated bystanders in closed
-    # form; filtered, every slice keeps its full width
+    # form; filtered, the four untouched slices keep their full width and
+    # are scored apart from the amplified one
     flat = lossy_pdc_densities(PdcSpec.from_scenario(3, 5.0),
                                transmissivity_from_db(5.0), N_MAX)
     apply_strategy(flat, "PC", 2, 0.1)
-    assert shapes == [(1, 41, 21, 21)]
+    assert shapes == [(1, 21, 21, 21)]
     shapes.clear()
     apply_strategy(flat, "PC", 2, 0.1, "filtered")
-    assert shapes == [(5, 41, 21, 21)]
+    assert shapes == [(4, 21, 21, 21), (1, 21, 21, 21)]
     shapes.clear()
     # an all-vacuum source needs no eigensolve at all
     vacuum = reference_no_nla(lossy_pdc_densities(scenario1(0.0), 1.0, N_MAX))
@@ -507,6 +540,98 @@ def test_truncation_guard_on_source():
         dense = [BipartiteDensity(graded_density(amp[0]))]
         with pytest.raises(error):
             dense_strategy(dense, nla)
+
+
+# ---------------------------------------------------------------------------
+# batched scoring over T
+
+def outcome(call):
+    """``call()``, or the exception it raised."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def assert_same_failure(got, want):
+    assert isinstance(want, Exception)
+    assert type(got) is type(want) and str(got) == str(want)
+
+
+# a transmissivity past the float range of two or more catalysis units, or
+# outside (0, 1), and where it goes in the grid
+BAD_T = st.one_of(st.none(), st.tuples(st.integers(0, 12),
+                                       st.sampled_from((1e-300, 0.0, 1.5))))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(scenario=st.integers(1, 3), k_modes=st.integers(1, 4),
+       r1_db=st.floats(0.0, 6.0), channel_db=st.floats(0.0, 20.0),
+       n_max=st.integers(4, 14), kind=st.sampled_from(VALID_KINDS),
+       n_units=st.integers(1, 3),
+       strategy=st.sampled_from(("unfiltered", "filtered")),
+       index=st.integers(1, 4),
+       ts=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=12),
+       bad=BAD_T,
+       elements=st.sampled_from((1, 2000, 5000, distill._STACK_ELEMENTS)))
+@example(scenario=2, k_modes=3, r1_db=5.0, channel_db=8.0, n_max=12,
+         kind="PC", n_units=2, strategy="filtered", index=2,
+         ts=[0.01 * (i + 1) for i in range(12)], bad=None, elements=5000)
+def test_batched_scores_are_one_t_scores(scenario, k_modes, r1_db,
+                                         channel_db, n_max, kind, n_units,
+                                         strategy, index, ts, bad, elements):
+    # each T's scores are bitwise apply_strategy's at that T, however the
+    # grid is chunked (the stack budget sets the chunk: 1 T up to all 12);
+    # a grid with a failing T raises what the first failing T raises alone,
+    # so a guard beats a bad diagonal at a later T
+    index = min(index, k_modes)
+    if bad is not None:
+        ts.insert(bad[0] % (len(ts) + 1), bad[1])
+    pdc = PdcSpec.from_scenario(scenario, r1_db, k_modes)
+    # a truncated source, so that some T trip the guards after the amplifier
+    lossy = lossy_pdc_densities(pdc, transmissivity_from_db(channel_db),
+                                n_max, tail_tol=1.0)
+    receiver = (strategy, index)
+    with mock.patch.object(distill, "_STACK_ELEMENTS", elements):
+        alone = [outcome(lambda: apply_strategy(lossy, kind, n_units, t,
+                                                *receiver)) for t in ts]
+        got = outcome(lambda: score_transmissivities(lossy, kind, n_units,
+                                                     ts, *receiver))
+    failures = [o for o in alone if isinstance(o, Exception)]
+    if failures:
+        assert_same_failure(got, failures[0])
+        return
+    assert len(got) == len(ts)
+    for res, want in zip(got, alone):
+        assert np.array_equal(res.per_supermode_logneg,
+                              want.per_supermode_logneg)
+        assert res.total_logneg == want.total_logneg
+        assert res.success_prob == want.success_prob
+
+
+def test_batched_guards_fire_in_grid_order():
+    # the stacks of test_truncation_guard_on_source: the flat stack passes
+    # catalysis at T 0.01 and overfills the top bin at 0.9; the scissors
+    # never pass Fock state 5
+    flat = np.eye(N_SMALL + 1)[None] / math.sqrt(N_SMALL + 1)
+    fock5 = np.zeros((1, N_SMALL + 1, N_SMALL + 1))
+    fock5[0, 5, 5] = 1.0
+    # stack, kind, N, T in grid order, the first failing T and its message
+    cases = (
+        (flat, "PC", 1, [0.01, 0.9, 1.5], 1, "supermode 1 arm A: top-bin"),
+        (flat, "PC", 1, [0.01, 1.5, 0.9], 1, "transmissivity must lie"),
+        (flat, "PC", 2, [0.01, 0.9, 1e-300], 1, "supermode 1 arm A: top-bin"),
+        (flat, "PC", 2, [0.01, 1e-300, 0.9], 1, "catalysis sum with N=2"),
+        (fock5, "QS", 1, [0.5, 1.5], 0, "herald probability vanished"),
+        (fock5, "QS", 1, [1.5, 0.5], 0, "transmissivity must lie"))
+    for amp, kind, n_units, ts, first, message in cases:
+        for t in ts[:first]:
+            apply_strategy(amp, kind, n_units, t)
+        want = outcome(lambda: apply_strategy(amp, kind, n_units, ts[first]))
+        assert str(want).startswith(message)
+        assert_same_failure(
+            outcome(lambda: score_transmissivities(amp, kind, n_units, ts)),
+            want)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlasim.distill import PdcSpec, apply_strategy, lossy_pdc_densities
+from nlasim.distill import (PdcSpec, apply_strategy, lossy_pdc_densities,
+                            score_transmissivities)
 from nlasim import fock, nla, optimize
 from nlasim.fock import TruncationError, coherent_state, transmissivity_from_db
 from nlasim.nla import VALID_KINDS, amplify_coherent
@@ -467,20 +468,28 @@ def test_maximize_total_logneg_scores_each_t_once(monkeypatch, t_min, t_max,
                                                   optimum, r1_db):
     # each T the search tries is scored once, and t_star once more for the
     # result, whether t_star is a refinement T or, above T = 0.5 where the
-    # log-negativity rises to the region's edge, the grid's first maximum
+    # log-negativity rises to the region's edge, the grid's first maximum;
+    # the grid takes one batched call
     lossy = lossy_pdc_densities(PdcSpec.from_scenario(2, r1_db, k_modes=3),
                                 transmissivity_from_db(8.0), 20)
-    scored, records = [], []
+    scored, batches, records = [], [], []
 
     def spy_apply(lossy, kind, n_units, t, *receiver):
         scored.append(t)
         return apply_strategy(lossy, kind, n_units, t, *receiver)
 
+    def spy_batch(lossy, kind, n_units, ts, *receiver):
+        scored.extend(ts)
+        batches.append(len(ts))
+        return score_transmissivities(lossy, kind, n_units, ts, *receiver)
+
     monkeypatch.setattr(optimize, "apply_strategy", spy_apply)
+    monkeypatch.setattr(optimize, "score_transmissivities", spy_batch)
     monkeypatch.setattr(optimize, "refine", _spy_on_refine(records))
     cfg = SweepConfig(t_min, t_max, grid_points=8, refine_tolerance=1e-3)
     t_star, best = maximize_total_logneg(lossy, "PC", 2, "filtered", 2, cfg)
     (record,) = records
+    assert batches == [8]
     assert scored == [t for t, _ in record] + [t_star]
     on_grid = t_star in [float(t) for t in cfg.t_grid]
     assert on_grid == (optimum == "grid")
