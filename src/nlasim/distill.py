@@ -237,7 +237,7 @@ def score_transmissivities(lossy: np.ndarray, kind: NlaKind, n_units: int,
             failure = exc       # raised once the earlier T pass their guards
             break
     if not diagonals:
-        raise failure
+        raise failure or ValueError("transmissivities must be non-empty")
     _check_receiver(strategy, amplified_index, k_modes)
     target = amplified_index - 1
     targets, passive = map(np.array, zip(*diagonals))

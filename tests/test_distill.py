@@ -632,6 +632,8 @@ def test_batched_guards_fire_in_grid_order():
         assert_same_failure(
             outcome(lambda: score_transmissivities(amp, kind, n_units, ts)),
             want)
+    with pytest.raises(ValueError, match="transmissivities must be non-empty"):
+        score_transmissivities(flat, "PC", 1, [])
 
 
 # ---------------------------------------------------------------------------
