@@ -292,7 +292,8 @@ def _distill_point(pdc, eta, kind, n_units, receiver, n_max, sweep):
 
 
 def _worker_count(workers) -> int:
-    return min(workers or os.cpu_count() or 1, os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    return cpus if workers is None else min(workers, cpus)
 
 
 def _fan_out(worker, tasks, workers):

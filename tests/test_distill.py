@@ -586,7 +586,8 @@ def test_batched_scores_are_one_t_scores(scenario, k_modes, r1_db,
     # so a guard beats a bad diagonal at a later T
     index = min(index, k_modes)
     if bad is not None:
-        ts.insert(bad[0] % (len(ts) + 1), bad[1])
+        at = bad[0] % (len(ts) + 1)
+        ts = ts[:at] + [bad[1]] + ts[at:]
     pdc = PdcSpec.from_scenario(scenario, r1_db, k_modes)
     # a truncated source, so that some T trip the guards after the amplifier
     lossy = lossy_pdc_densities(pdc, transmissivity_from_db(channel_db),
