@@ -39,13 +39,16 @@ scheduling, a failing run reports the first failing row in that order, and
 float cells use 17 significant digits, so identical configs give
 byte-identical output at any worker count.
 
-Exit codes: 0 success, 1 config/validation error or unwritable ``--out``,
-2 numerical-guard failure, 3 verification failure.
+Importing this module calls ``gc.freeze()`` once, so no collection, exit's
+included, walks the objects its imports built; it changes no output bytes,
+so it has no knob.  Exit codes: 0 success, 1 config/validation error or
+unwritable ``--out``, 2 numerical-guard failure, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -54,7 +57,7 @@ from functools import partial
 
 import numpy as np
 
-from . import distill, fock, nla, oracle
+from . import distill, fock, nla
 from .distill import (DEFAULT_DECAY, DEFAULT_SUPERMODES, PdcSpec,
                       _gaussian_log_negativities, _log_negativities,
                       lossy_pdc_densities, reference_no_nla,
@@ -64,6 +67,10 @@ from .fock import (NormalizationError, TruncationError, squeezing_from_db,
 from .nla import VALID_KINDS
 from .optimize import (SweepConfig, max_fidelity_profiles,
                        maximize_total_logneg)
+
+# the imports' heap (mostly numpy's) goes to the permanent generation, so no
+# collection, exit's included, walks or frees it; once, at import, per process
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -384,6 +391,7 @@ def run_sweep(p: dict):
 # yields got - want for every case it covers; run_verify folds max |.|.
 
 def _dev_pc_multinomial():
+    from . import oracle  # verify alone loads the oracle circuits
     for n_units in (1, 2, 3):
         for t in (0.1, 0.5, 0.9):
             coeffs = nla.pc_nla_diagonal(n_units, t, 8)
@@ -392,12 +400,14 @@ def _dev_pc_multinomial():
 
 
 def _dev_pc_circuit():
+    from . import oracle
     for t in (0.2, 0.5, 0.8):
         yield (oracle.pc_circuit_operator(t, 6)
                - np.diag(nla.pc_nla_diagonal(1, t, 6)))
 
 
 def _dev_qs_circuit():
+    from . import oracle
     for t1 in (0.3, 0.5, 0.7):
         for t2 in (0.2, 0.6, 0.9):
             keep = oracle.qs_circuit_operator(t1, t2, 5)
@@ -412,6 +422,7 @@ def _dev_qs_circuit():
 
 
 def _dev_qs_multimode():
+    from . import oracle
     want = np.zeros((3, 3), dtype=complex)
     for t1, t2 in ((0.5, 0.3), (0.4, 0.7)):
         want[0, 0] = math.sqrt(t1 * t2)
@@ -421,6 +432,7 @@ def _dev_qs_multimode():
 
 
 def _dev_qs_splitter():
+    from . import oracle
     for n_units in (1, 2):
         for t in (0.25, 0.6):
             got = oracle.qs_nla_splitter_circuit(n_units, t, n_units)
@@ -430,6 +442,7 @@ def _dev_qs_splitter():
 
 
 def _dev_nsplitter():
+    from . import oracle
     for n_paths in (2, 3, 4, 5):
         u = oracle.nsplitter_unitary(n_paths)
         amp = 1 / math.sqrt(n_paths)
@@ -530,12 +543,8 @@ def _write(text: str, out_path: str | None):
         raise ConfigError(f"cannot write {out_path!r}: {exc}") from exc
 
 
-_RUNNERS = {
-    "amplify": run_amplify,
-    "distill": run_distill,
-    "cascade-compare": run_cascade_compare,
-    "sweep": run_sweep,
-}
+_RUNNERS = {"amplify": run_amplify, "distill": run_distill,
+            "cascade-compare": run_cascade_compare, "sweep": run_sweep}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import concurrent.futures
+import gc
 import json
 import math
 import os
@@ -37,16 +38,20 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
-def _loaded_after_cli_import(prefixes):
-    """Modules under ``prefixes`` that a fresh ``import nlasim.cli`` loads."""
+def _spawn(*args, check=True):
+    """Run ``python ARGS`` in a fresh interpreter that imports this tree."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = ("import sys, nlasim.cli; "
-            f"print(sorted(m for m in sys.modules "
-            f"if m.split('.')[0] in {tuple(prefixes)!r}))")
-    done = subprocess.run([sys.executable, "-c", code], check=True,
+    return subprocess.run([sys.executable, *args], check=check,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    return done.stdout.strip()
+
+
+def _loaded_after_cli_import(prefixes):
+    """Modules under ``prefixes`` that a fresh ``import nlasim.cli`` loads."""
+    code = ("import sys, nlasim.cli; "
+            f"print(sorted(m for m in sys.modules if any(m == p or "
+            f"m.startswith(p + '.') for p in {tuple(prefixes)!r})))")
+    return _spawn("-c", code).stdout.strip()
 
 
 def test_cli_import_loads_no_scipy():
@@ -59,6 +64,41 @@ def test_cli_import_loads_no_process_pool():
     # --workers 2 still fans out (test_distill_deterministic_across_workers)
     assert _loaded_after_cli_import(
         ["multiprocessing", "subprocess", "socket", "concurrent"]) == "[]"
+
+
+def test_cli_import_loads_no_oracle():
+    # only verify runs the oracle circuits, so only verify compiles them
+    assert _loaded_after_cli_import(["nlasim.oracle"]) == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the frozen import heap: no collection, exit's included, walks it
+
+def _freeze_count_after(module):
+    code = f"import gc, {module}; print(gc.get_freeze_count())"
+    return int(_spawn("-c", code).stdout)
+
+
+def test_library_import_freezes_nothing():
+    assert _freeze_count_after("nlasim") == 0
+
+
+def test_cli_import_freezes_the_import_heap():
+    assert _freeze_count_after("nlasim.cli") > 0
+
+
+def test_main_freezes_nothing_per_call(tmp_path, capsys):
+    # the freeze runs once, at import: a per-call freeze would move each
+    # call's leftovers (the parser's cycles) into the permanent generation
+    ok = write_config(tmp_path, {"checks": ["nsplitter_unitary"]}, "ok.json")
+    bad = write_config(tmp_path, {"attenuations_db": [0.0], "n_max": 10},
+                       "bad.json")
+    before = gc.get_freeze_count()
+    codes = [main(["verify", "--config", ok]) for _ in range(19)]
+    codes.append(main(["distill", "--config", bad]))
+    capsys.readouterr()
+    assert codes == [0] * 19 + [2]
+    assert gc.get_freeze_count() == before
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +271,23 @@ def test_distill_deterministic_across_workers(tmp_path):
     assert main(["distill", "--config", path, "--out", out2,
                  "--workers", "2"]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_spawned_distill_matches_in_process_bytes(tmp_path, workers):
+    # a separate process exits from a frozen heap (at --workers 2 its pool
+    # is forked from one) and must still flush every byte of the table
+    path = write_config(tmp_path, {
+        "attenuations_db": [0.0, 6.0], "kinds": ["PC"], "n_units": [1],
+        "n_max": 18, "optimizer": {"grid_points": 8,
+                                   "refine_tolerance": 1e-2}})
+    out = tmp_path / "in_process.csv"
+    assert main(["distill", "--config", path, "--out", str(out),
+                 "--workers", workers]) == 0
+    done = _spawn("-m", "nlasim", "distill", "--config", path,
+                  "--workers", workers)
+    assert done.stderr == ""
+    assert done.stdout.encode() == out.read_bytes()
 
 
 def test_sweep_emits_grid(tmp_path, capsys):
@@ -695,6 +752,12 @@ def test_verify_subset_of_checks(tmp_path, capsys):
     assert main(["verify", "--config", path]) == 0
     out = capsys.readouterr().out
     assert "1/1 checks passed" in out
+
+
+def test_spawned_verify_passes():
+    done = _spawn("-m", "nlasim", "verify", check=False)
+    assert done.returncode == 0
+    assert "10/10 checks passed" in done.stdout
 
 
 def test_verify_report_to_file(tmp_path):
