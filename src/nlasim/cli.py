@@ -39,10 +39,9 @@ scheduling, a failing run reports the first failing row in that order, and
 float cells use 17 significant digits, so identical configs give
 byte-identical output at any worker count.
 
-Importing this module calls ``gc.freeze()`` once, so no collection, exit's
-included, walks the objects its imports built; it changes no output bytes,
-so it has no knob.  Exit codes: 0 success, 1 config/validation error or
-unwritable ``--out``, 2 numerical-guard failure, 3 verification failure.
+Exit codes: 0 success, 1 config/validation error or unwritable ``--out``,
+2 numerical-guard failure, 3 verification failure.  Exit skips collecting
+the imports' heap, frozen at import; no output changes, so there is no knob.
 """
 
 from __future__ import annotations
@@ -68,9 +67,7 @@ from .nla import VALID_KINDS
 from .optimize import (SweepConfig, max_fidelity_profiles,
                        maximize_total_logneg)
 
-# the imports' heap (mostly numpy's) goes to the permanent generation, so no
-# collection, exit's included, walks or frees it; once, at import, per process
-gc.freeze()
+gc.freeze()  # exit skips collecting the ~21k objects the imports built
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -543,8 +540,12 @@ def _write(text: str, out_path: str | None):
         raise ConfigError(f"cannot write {out_path!r}: {exc}") from exc
 
 
-_RUNNERS = {"amplify": run_amplify, "distill": run_distill,
-            "cascade-compare": run_cascade_compare, "sweep": run_sweep}
+_RUNNERS = {
+    "amplify": run_amplify,
+    "distill": run_distill,
+    "cascade-compare": run_cascade_compare,
+    "sweep": run_sweep,
+}
 
 
 # ---------------------------------------------------------------------------
