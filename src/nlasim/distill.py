@@ -262,8 +262,9 @@ def score_transmissivities(lossy: np.ndarray, kind: NlaKind, n_units: int,
         pops = squares * coeffs[part, :, None, :] ** 2
         arms = (pops.sum(axis=3), pops.sum(axis=2))
         p = arms[1].sum(axis=2)
-        # suspect at half the guard's ratio; the guard itself then decides
-        suspect = p <= 0.0
+        # suspect: a probability not above 0 (NaN too) or a top bin past
+        # half the guard's ratio; the guards themselves then decide
+        suspect = ~(p > 0.0)
         for pop in arms:
             suspect |= pop[..., -1] > 0.5e-6 * pop.max(axis=-1)
         for t in np.flatnonzero(suspect.any(axis=1)):

@@ -64,10 +64,13 @@ def guard_truncation(populations: np.ndarray, what: str = "state") -> None:
 
     Post-hoc guard against silently truncated output states; ``populations``
     is any non-negative per-bin weight vector (|amps|^2 or diagonal of a
-    density matrix arm).
+    density matrix arm).  A NaN or infinite population is a ValueError.
     """
     pops = np.asarray(populations, dtype=float)
-    peak = pops.max(initial=0.0)
+    peak = pops.max(initial=0.0)    # NaN if any population is NaN
+    if not peak < math.inf:
+        raise ValueError(f"{what}: populations must be finite, got peak "
+                         f"{peak}")
     if peak <= 0.0:
         return
     if pops[-1] > 1e-6 * peak:

@@ -36,6 +36,10 @@ NlaKind = Literal["QS", "PC", "CascadedPC"]
 
 VALID_KINDS = ("QS", "PC", "CascadedPC")
 
+# past this a herald probability keeps its bits (a subnormal term moves it
+# by under 2^-105), so its output's squared norm stays within 1e-12 of 1
+_FULL_PRECISION = np.finfo(float).tiny / np.finfo(float).eps
+
 
 def _integer(value, name: str) -> int:
     """``value`` as a Python int; bools and non-integers are rejected."""
@@ -213,28 +217,59 @@ def _target_sign(kind: NlaKind, n_units: int) -> float:
     return (-1.0) ** n_units
 
 
-def _herald(coeffs: np.ndarray,
-            amps: np.ndarray) -> tuple[np.ndarray, float]:
-    """Heralded output amplitudes of ``coeffs`` on ``amps``, normalised, and
-    the herald probability.
+def _bra(target: np.ndarray) -> np.ndarray:
+    """Float rows whose products with psi's float view sum to the real and
+    imaginary parts of <target|psi>."""
+    return np.stack([target.view(float), (1j * target).view(float)])
+
+
+def _fidelity(bra: np.ndarray, flat: np.ndarray, prob: float) -> float:
+    """|<target|psi>|^2 / prob from the target's :func:`_bra` and the float
+    view of psi.  Its sums run over the contiguous last axis, as the batched
+    grid of max_fidelity_profiles runs them, so both give the same bits;
+    BLAS dots, whose order depends on the call's shape, would not."""
+    re, im = (bra * flat).sum(axis=-1).tolist()
+    return (re * re + im * im) / prob
+
+
+def _herald(coeffs: np.ndarray, amps: np.ndarray, bra=None):
+    """Heralded output amplitudes of ``coeffs`` on ``amps``, normalised, the
+    herald probability and the :func:`_fidelity` to ``bra`` (None without).
 
     NormalizationError when the herald has zero probability, ValueError for
-    non-finite amplitudes, NormalizationError for a squared norm past 1, then
-    TruncationError when the output's top Fock bin is populated.
+    non-finite amplitudes (a probability that is not finite),
+    NormalizationError for a squared norm past 1 (only below
+    _FULL_PRECISION), then TruncationError when the output's top Fock bin is
+    populated.
     """
     unnorm = coeffs * amps
-    prob = float(np.vdot(unnorm, unnorm).real)
+    flat = unnorm.view(float)
+    prob = float((flat * flat).sum())
     if prob <= 0.0:
         raise NormalizationError(
             "herald has zero probability at these parameters")
-    out = unnorm / math.sqrt(prob)
-    if not np.isfinite(out.view(float)).all():
+    if not math.isfinite(prob):
         raise ValueError("amps must be finite")
-    nsq = float(np.vdot(out, out).real)
+    out = unnorm / math.sqrt(prob)
+    nsq = 1.0 if prob >= _FULL_PRECISION else float(np.vdot(out, out).real)
     if nsq > 1.0 + 1e-12:
         raise NormalizationError(f"squared norm {nsq} exceeds 1")
     guard_truncation(np.abs(out) ** 2, what="amplified state")
-    return out, prob
+    return out, prob, None if bra is None else _fidelity(bra, flat, prob)
+
+
+def _herald_grid(coeffs: np.ndarray, amps: np.ndarray):
+    """:func:`_herald`'s unnormalised outputs and probabilities for every
+    row of ``coeffs`` (axis 0) on every row of ``amps`` (axis 1), and where
+    its guards may trip: a probability not finite or below _FULL_PRECISION,
+    or a top bin past half the guard's ratio."""
+    unnorm = coeffs[:, None] * amps
+    flat = unnorm.view(float)
+    pops = flat * flat
+    probs = pops.sum(axis=-1)
+    bins = pops[..., ::2] + pops[..., 1::2]
+    suspect = ~((probs >= _FULL_PRECISION) & (probs < math.inf))
+    return unnorm, probs, suspect | (bins[..., -1] > 0.5e-6 * bins.max(-1))
 
 
 def amplify_coherent(alpha: complex, kind: NlaKind, n_units: int,
@@ -247,10 +282,11 @@ def amplify_coherent(alpha: complex, kind: NlaKind, n_units: int,
     amplified coherent target with the sign convention of the family
     (+g alpha for QS, -g alpha for PC, (-1)^N g alpha for the cascade).
     """
-    out, prob = _herald(nla_diagonal(kind, n_units, transmissivity, n_max),
-                        coherent_state(alpha, n_max))
-    fid = None
-    if target_gain is not None:
+    coeffs = nla_diagonal(kind, n_units, transmissivity, n_max)
+    amps = coherent_state(alpha, n_max)
+    out, prob, fid = _herald(coeffs, amps)
+    if target_gain is not None:     # the target's tail guard comes last
         beta = _target_sign(kind, n_units) * target_gain * alpha
-        fid = fidelity_to_coherent(out, beta)
+        fid = _fidelity(_bra(coherent_state(beta, n_max)),
+                        (coeffs * amps).view(float), prob)
     return AmplifyResult(out, prob, fid)

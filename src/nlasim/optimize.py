@@ -10,13 +10,15 @@ transmissivity.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distill import apply_strategy, score_transmissivities
 from .fock import coherent_state
-from .nla import _herald, _integer, _target_sign, nla_diagonal
+from .nla import (_bra, _herald, _herald_grid, _integer, _target_sign,
+                  amplify_coherent, nla_diagonal)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -110,60 +112,66 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
     success_prob)`` or the exception it raised, without its traceback, so a
     caller can report the first failure in its own row order.
 
-    The coarse grid runs T-major: each grid T gets one diagonal for every
-    row and one herald step for each alpha, dropped before the next T, and
-    each row keeps one float per grid T.  Each row then calls :func:`refine`
-    on its grid values, with diagonals of its own, and takes its herald
-    probability from one more evaluation at ``t_star``.  A row makes the
-    evaluations it would make alone, with the guards in amplify_coherent's
-    order (the diagonal's kind, N, T and float range, the input tail, the
-    herald probability, the output top bin, the target tail); a guard that
-    trips is not remembered, so each row gives the bits and the exception
-    it would give alone.
+    The grid is scored in one batch: the group's diagonals, built in T order
+    up to the first that fails, herald every alpha in one broadcast and give
+    every row's fidelity in one more.  Each row then replays, in T order and
+    with amplify_coherent, whose guards raise in its order, the grid T that
+    may fail for it alone (a failing input or target, or a herald that may
+    trip a guard); no other grid T can.  A row that passes them meets the
+    failing diagonal, if any, next.  It then calls :func:`refine` on its grid
+    values, with one-T :func:`_herald` calls, and takes its herald
+    probability from one more at ``t_star``.  So each row gives the bits and
+    the exception it would give alone.
     """
     cfg = config or SweepConfig()
     ts = cfg.t_grid
-    inputs = {}                         # alpha -> input amplitudes
-    targets = [None] * len(rows)
+    diagonals, failure = [], None
+    for t in ts:
+        try:
+            diagonals.append(nla_diagonal(kind, n_units, t, n_max))
+        except Exception as exc:        # the outcome of the rows left at t
+            failure = exc.with_traceback(None)
+            break
+    alphas = list(dict.fromkeys(a for a, _ in rows))
+    cols = [alphas.index(a) for a, _ in rows]
+    fids = doubt = np.zeros((0, len(rows)))
+    if diagonals:
+        amps = np.zeros((len(alphas), n_max + 1), dtype=complex)
+        bras = np.full((len(rows), 2, 2 * n_max + 2), math.nan)
+        for i, alpha in enumerate(alphas):
+            with suppress(Exception):   # zeros: a herald that vanishes
+                amps[i] = coherent_state(alpha, n_max)
+        for r, (alpha, gain) in enumerate(rows):
+            with suppress(Exception):   # NaN: a fidelity that is not finite
+                beta = _target_sign(kind, n_units) * gain * alpha
+                bras[r] = _bra(coherent_state(beta, n_max))
+        unnorm, probs, suspect = _herald_grid(np.array(diagonals), amps)
+        # _fidelity of every (grid T, row), its sums formed as there
+        overlaps = (bras * unnorm[:, cols].view(float)[:, :, None]).sum(-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fids = (overlaps * overlaps).sum(axis=-1) / probs[:, cols]
+        doubt = suspect[:, cols] | ~np.isfinite(fids)
 
-    def evaluate(r: int, diagonal: np.ndarray, heralds: dict):
-        """Row r's fidelity and herald probability under ``diagonal``."""
-        alpha, gain = rows[r]
-        if alpha not in heralds:
-            if alpha not in inputs:
-                inputs[alpha] = coherent_state(alpha, n_max)
-            heralds[alpha] = _herald(diagonal, inputs[alpha])
-        out, prob = heralds[alpha]
-        if targets[r] is None:
-            beta = _target_sign(kind, n_units) * gain * alpha
-            targets[r] = coherent_state(beta, n_max)
-        return float(abs(np.vdot(targets[r], out)) ** 2), prob
+    outcomes = []                       # result or exception, per row
+    for r, (alpha, gain) in enumerate(rows):
+        def objective(t: float):
+            res = amplify_coherent(alpha, kind, n_units, t, n_max, gain)
+            return _finite(t, res.fidelity)
 
-    # grid values of each row, up to its first failure
-    values = np.empty((len(rows), len(ts)))
-    outcomes = [None] * len(rows)       # result or exception, per row
-    live = list(range(len(rows)))
-    for j, t in enumerate(ts):
-        diagonal, heralds = None, {}
-        for r in live:
-            try:
-                if diagonal is None:
-                    diagonal = nla_diagonal(kind, n_units, t, n_max)
-                values[r, j] = _finite(t, evaluate(r, diagonal, heralds)[0])
-            except Exception as exc:    # the row's outcome, not the group's
-                outcomes[r] = exc.with_traceback(None)
-        live = [r for r in live if outcomes[r] is None]
-
-    for r in live:
         def score(t: float):
-            return evaluate(r, nla_diagonal(kind, n_units, t, n_max), {})
+            return _herald(nla_diagonal(kind, n_units, t, n_max), psi, bra)
 
         try:
-            t_star, f_star = refine(lambda t: _finite(t, score(t)[0]),
-                                    values[r], cfg)
-            outcomes[r] = (t_star, f_star, score(t_star)[1])
-        except Exception as exc:
-            outcomes[r] = exc.with_traceback(None)
+            for j in np.flatnonzero(doubt[:, r]):
+                objective(ts[j])
+            if failure is not None:
+                raise failure
+            psi, bra = amps[cols[r]], bras[r]
+            t_star, f_star = refine(lambda t: _finite(t, score(t)[2]),
+                                    fids[:, r], cfg)
+            outcomes.append((t_star, f_star, score(t_star)[1]))
+        except Exception as exc:        # the row's outcome, not the group's
+            outcomes.append(exc.with_traceback(None))
     return outcomes
 
 

@@ -637,6 +637,20 @@ def test_batched_guards_fire_in_grid_order():
         score_transmissivities(flat, "PC", 1, [])
 
 
+@pytest.mark.parametrize("strategy", ("unfiltered", "filtered"))
+def test_nan_herald_probability_is_screened(strategy):
+    # a NaN amplitude leaves the herald probability NaN, which p <= 0 and
+    # the top-bin ratio both pass; the screen flags it and the truncation
+    # guard rejects its non-finite populations
+    lossy = lossy_pdc_densities(scenario1(), transmissivity_from_db(8.0),
+                                N_MAX)
+    lossy[0, 1, 1] = math.nan
+    for ts in ([0.3], [0.2, 0.3]):
+        with pytest.raises(ValueError, match="^supermode 1 arm A: "
+                                             "populations must be finite"):
+            score_transmissivities(lossy, "QS", 1, ts, strategy)
+
+
 # ---------------------------------------------------------------------------
 # parallel vs cascaded catalysis
 

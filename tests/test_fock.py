@@ -330,3 +330,13 @@ def test_fock_guard_raises(call, error, message):
 def test_guard_truncation_passes_all_zero_populations():
     # no peak bin to compare the top bin against: nothing to guard
     assert guard_truncation(np.zeros(6)) is None
+
+
+@pytest.mark.parametrize("pops", ([math.nan, 1.0], [1.0, math.nan],
+                                  [math.inf, 1.0], [0.0, math.inf]))
+def test_guard_truncation_rejects_non_finite_populations(pops):
+    # a NaN peak fails both comparisons, and an infinite one hides any top
+    # bin, so either would pass a full top bin unseen
+    with pytest.raises(ValueError, match="^state: populations must be "
+                                         "finite, got peak (nan|inf)$"):
+        guard_truncation(np.array(pops))

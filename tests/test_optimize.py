@@ -102,8 +102,9 @@ def test_returned_value_never_below_grid_samples(terms, damping, cfg):
        cfg=SWEEP_CONFIGS, reverse=st.booleans())
 def test_refine_on_grid_values_matches_maximize_over_T(objectives, cfg,
                                                        reverse):
-    # the group search samples its rows' grids T-major and then refines each
-    # row; refine must not care in which order the grid values were taken
+    # the group search scores its rows' grids in one batch and then refines
+    # each row; refine must not care in which order the grid values were
+    # taken
     objectives = [damped_waves(terms, damping)
                   for terms, damping in objectives]
     grid = list(enumerate(cfg.t_grid))
@@ -307,8 +308,10 @@ def test_max_fidelity_profiles_rows_bitwise_equal_reference(
 
 
 def _spy_on_builds(monkeypatch):
-    """Count coherent_state, nla_diagonal and _herald calls; collect each
-    search's (t, value) record as one list in ``records``."""
+    """Count coherent_state, nla_diagonal and _herald calls, and as
+    ``calls["grid _herald"]`` the _herald calls made before the first
+    refine; collect each search's (t, value) record as one list in
+    ``records``."""
     calls = Counter()
 
     def spy(name, original):
@@ -324,7 +327,12 @@ def _spy_on_builds(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy(name, original))
     records = []
-    monkeypatch.setattr(optimize, "refine", _spy_on_refine(records))
+    search = _spy_on_refine(records)
+
+    def first_counted(*args):
+        calls.setdefault("grid _herald", calls["_herald"])
+        return search(*args)
+    monkeypatch.setattr(optimize, "refine", first_counted)
     return calls, records
 
 
@@ -354,7 +362,10 @@ def test_max_fidelity_profile_builds_states_once(monkeypatch, kind):
         # herald probability at the optimum
         (record,) = records
         assert calls["nla_diagonal"] == len({t for t, _ in record}) + 1
-        assert calls["_herald"] == calls["nla_diagonal"]
+        # a clean grid is heralded in one batch, with no _herald call; each
+        # refinement T makes one, and the optimum one more
+        assert calls["grid _herald"] == 0
+        assert calls["_herald"] == len(record) - grid_points + 1
         assert len(record) > grid_points
     assert states[5] == states[50] == 2
 
@@ -372,14 +383,157 @@ def test_max_fidelity_profiles_share_builds_across_the_group(monkeypatch,
     assert len(records) == len(rows)
     assert all(len(record) > grid_points for record in records)
     refines = sum(len(record) - grid_points for record in records)
-    # one diagonal per grid T for the whole group and one herald step per
-    # (alpha, grid T); each refinement builds its own, and each row one
-    # more at its optimum
+    # one diagonal per grid T for the whole group, and no _herald call for
+    # a clean grid; each refinement builds its own diagonal and makes one
+    # _herald call, and each row one more at its optimum
     assert calls["nla_diagonal"] == grid_points + refines + len(rows)
-    assert calls["_herald"] == (len(alphas) * grid_points + refines
-                                + len(rows))
+    assert calls["grid _herald"] == 0
+    assert calls["_herald"] == refines + len(rows)
     # one input per alpha and one target per (alpha, gain) row
     assert calls["coherent_state"] == len(alphas) + len(rows)
+
+
+def _guarded(call):
+    """call()'s result, which is not a tuple, or the (type, message) tuple of
+    the guard it trips."""
+    try:
+        return call()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+GROUPS = dict(kind=st.sampled_from(VALID_KINDS), n_units=st.integers(1, 8),
+              alphas=st.lists(st.floats(0.05, 2.5), min_size=1, max_size=3),
+              gains=st.lists(st.floats(1.1, 2.0), min_size=1, max_size=3),
+              n_max=st.integers(8, 40), grid_points=st.integers(4, 12))
+
+
+def _grid_examples(test):
+    # the amplify-grid benchmark shape; rows that trip the input tail guard
+    # next to rows that pass; a top bin that the herald guard rejects
+    for kind in ("PC", "QS"):
+        test = example(kind=kind, n_units=8, alphas=[0.8786], gains=[1.6282],
+                       n_max=30, grid_points=48)(test)
+    test = example(kind="PC", n_units=3, alphas=[0.05, 2.5], gains=[1.5, 1.1],
+                   n_max=8, grid_points=12)(test)
+    return example(kind="PC", n_units=3, alphas=[0.1, 0.05], gains=[2.0],
+                   n_max=3, grid_points=12)(test)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**GROUPS)
+@_grid_examples
+def test_batched_grid_equals_one_t_helper(kind, n_units, alphas, gains,
+                                          n_max, grid_points):
+    cfg = SweepConfig(grid_points=grid_points)
+    diagonals = []
+    for t in cfg.t_grid:
+        diagonal = _guarded(lambda: nla.nla_diagonal(kind, n_units, t, n_max))
+        if isinstance(diagonal, tuple):
+            break
+        diagonals.append(diagonal)
+    inputs = [psi for psi in (_guarded(lambda: coherent_state(a, n_max))
+                              for a in dict.fromkeys(alphas))
+              if not isinstance(psi, tuple)]
+    # each (grid T, alpha) herald probability is the one-T helper's, bitwise,
+    # and the batch flags every (T, alpha) where the helper raises
+    if diagonals and inputs:
+        _, probs, suspect = nla._herald_grid(np.array(diagonals),
+                                             np.array(inputs))
+        for j, diagonal in enumerate(diagonals):
+            for i, psi in enumerate(inputs):
+                prob = _guarded(lambda: nla._herald(diagonal, psi)[1])
+                if isinstance(prob, tuple):
+                    assert suspect[j, i]
+                else:
+                    assert float(probs[j, i]).hex() == prob.hex()
+    # each (grid T, row) fidelity that refine receives is the one-T
+    # helper's, bitwise, and a row whose one-T helper raises on the grid
+    # raises its type and message, at its first failing T
+    rows = [(a, g) for a in alphas for g in gains]
+    records = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "refine", _spy_on_refine(records))
+        outcomes = max_fidelity_profiles(rows, kind, n_units, n_max, cfg)
+    records = iter(records)
+    for (alpha, gain), outcome in zip(rows, outcomes):
+        one_t = [_guarded(lambda: amplify_coherent(
+            alpha, kind, n_units, t, n_max, gain).fidelity)
+            for t in cfg.t_grid]
+        failures = [f for f in one_t if isinstance(f, tuple)]
+        if failures:
+            assert (type(outcome), str(outcome)) == failures[0]
+        else:
+            grid = next(records)[:grid_points]
+            assert [float(v).hex() for _, v in grid] == \
+                [f.hex() for f in one_t]
+
+
+# the per-T arithmetic that the batched grid replaced, kept as the literal
+# reference: a BLAS vdot norm, the overlap with the normalised output, and
+# the guards in amplify_coherent's order
+def literal_amplify(alpha, gain, kind, n_units, t, n_max):
+    """[fidelity, herald probability, the fidelity's cancellation-free
+    scale (sum_n |target_n unnorm_n|)^2 / prob]."""
+    coeffs = nla.nla_diagonal(kind, n_units, t, n_max)
+    unnorm = coeffs * coherent_state(alpha, n_max)
+    prob = float(np.vdot(unnorm, unnorm).real)
+    if prob <= 0.0:
+        raise fock.NormalizationError(
+            "herald has zero probability at these parameters")
+    out = unnorm / math.sqrt(prob)
+    if not np.isfinite(out.view(float)).all():
+        raise ValueError("amps must be finite")
+    nsq = float(np.vdot(out, out).real)
+    if nsq > 1.0 + 1e-12:
+        raise fock.NormalizationError(f"squared norm {nsq} exceeds 1")
+    fock.guard_truncation(np.abs(out) ** 2, what="amplified state")
+    target = coherent_state(nla._target_sign(kind, n_units) * gain * alpha,
+                            n_max)
+    scale = float(np.abs(target) @ np.abs(unnorm)) ** 2 / prob
+    return [float(abs(np.vdot(target, out)) ** 2), prob, scale]
+
+
+# round-off of two sums of at most 82 terms in different orders: measured at
+# under 2 ulps of the probability and 8 of the fidelity's scale
+PROB_ULPS, FIDELITY_ULPS = 4, 16
+
+
+def _within_round_off(got, want):
+    fidelity, prob, scale = want
+    eps = np.finfo(float).eps
+    return (abs(got[1] - prob) <= PROB_ULPS * eps * prob
+            and abs(got[0] - fidelity) <= FIDELITY_ULPS * eps * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**GROUPS)
+@_grid_examples
+def test_batched_grid_within_round_off_of_literal_reference(
+        kind, n_units, alphas, gains, n_max, grid_points):
+    # every grid T and every row's optimum, against the literal per-T
+    # arithmetic: the same guard, or values within round-off
+    cfg = SweepConfig(grid_points=grid_points)
+    rows = [(a, g) for a in alphas for g in gains]
+    outcomes = max_fidelity_profiles(rows, kind, n_units, n_max, cfg)
+    for (alpha, gain), outcome in zip(rows, outcomes):
+        points = list(cfg.t_grid)
+        if not isinstance(outcome, Exception):
+            points.append(outcome[0])
+        for t in points:
+            want = _guarded(
+                lambda: literal_amplify(alpha, gain, kind, n_units, t, n_max))
+            res = _guarded(lambda: amplify_coherent(alpha, kind, n_units, t,
+                                                    n_max, gain))
+            if isinstance(want, tuple) or isinstance(res, tuple):
+                assert res == want
+            else:
+                assert _within_round_off((res.fidelity, res.success_prob),
+                                         want)
+        if not isinstance(outcome, Exception):
+            want = literal_amplify(alpha, gain, kind, n_units, outcome[0],
+                                   n_max)
+            assert _within_round_off(outcome[1:], want)
 
 
 @pytest.mark.parametrize("phase", ("refine", "re-score"))
