@@ -208,39 +208,25 @@ def fidelity_to_coherent(amps: np.ndarray, beta: complex) -> float:
     return float(abs(np.vdot(target, amps)) ** 2)
 
 
-def _target_sign(kind: NlaKind, n_units: int) -> float:
-    # PC heralds onto the phase-flipped target; a cascade flips once per unit
-    if kind == "QS":
-        return 1.0
-    if kind == "PC":
-        return -1.0
-    return (-1.0) ** n_units
-
-
-def _bra(target: np.ndarray) -> np.ndarray:
+def _target_bra(kind: NlaKind, n_units: int, alpha: complex, gain: float,
+                n_max: int) -> np.ndarray:
     """Float rows whose products with psi's float view sum to the real and
-    imaginary parts of <target|psi>."""
+    imaginary parts of <target|psi>, the target ``gain`` times |alpha>."""
+    # PC heralds onto the phase-flipped target; a cascade flips once per unit
+    flips = {"QS": 0, "PC": 1}.get(kind, n_units)
+    target = coherent_state((-1.0) ** flips * gain * alpha, n_max)
     return np.stack([target.view(float), (1j * target).view(float)])
-
-
-def _fidelity(bra: np.ndarray, flat: np.ndarray, prob: float) -> float:
-    """|<target|psi>|^2 / prob from the target's :func:`_bra` and the float
-    view of psi.  Its sums run over the contiguous last axis, as the batched
-    grid of max_fidelity_profiles runs them, so both give the same bits;
-    BLAS dots, whose order depends on the call's shape, would not."""
-    re, im = (bra * flat).sum(axis=-1).tolist()
-    return (re * re + im * im) / prob
 
 
 def _herald(coeffs: np.ndarray, amps: np.ndarray, bra=None):
     """Heralded output amplitudes of ``coeffs`` on ``amps``, normalised, the
-    herald probability and the :func:`_fidelity` to ``bra`` (None without).
+    herald probability and the fidelity to the target of ``bra`` (from
+    :func:`_target_bra`, or None).  Each sum runs over the last axis, as in
+    :func:`_herald_grid`, so both give the same bits; a BLAS dot would not.
 
     NormalizationError when the herald has zero probability, ValueError for
-    non-finite amplitudes (a probability that is not finite),
-    NormalizationError for a squared norm past 1 (only below
-    _FULL_PRECISION), then TruncationError when the output's top Fock bin is
-    populated.
+    non-finite amplitudes, NormalizationError for a squared norm past 1,
+    then TruncationError when the output's top Fock bin is populated.
     """
     unnorm = coeffs * amps
     flat = unnorm.view(float)
@@ -255,21 +241,29 @@ def _herald(coeffs: np.ndarray, amps: np.ndarray, bra=None):
     if nsq > 1.0 + 1e-12:
         raise NormalizationError(f"squared norm {nsq} exceeds 1")
     guard_truncation(np.abs(out) ** 2, what="amplified state")
-    return out, prob, None if bra is None else _fidelity(bra, flat, prob)
+    if bra is None:
+        return out, prob, None
+    re, im = (bra * flat).sum(axis=-1).tolist()
+    return out, prob, (re * re + im * im) / prob
 
 
-def _herald_grid(coeffs: np.ndarray, amps: np.ndarray):
-    """:func:`_herald`'s unnormalised outputs and probabilities for every
-    row of ``coeffs`` (axis 0) on every row of ``amps`` (axis 1), and where
-    its guards may trip: a probability not finite or below _FULL_PRECISION,
-    or a top bin past half the guard's ratio."""
+def _herald_grid(coeffs: np.ndarray, amps: np.ndarray, bras, cols):
+    """:func:`_herald` of every row of ``coeffs`` (a grid T) on every row
+    of ``amps``: the (T, amps row) probabilities, then by (T, r) the
+    fidelity of ``amps[cols[r]]`` to ``bras[r]`` and whether a guard may
+    trip (a probability not finite or below _FULL_PRECISION, a top bin past
+    half the guard's ratio, a fidelity not finite)."""
     unnorm = coeffs[:, None] * amps
     flat = unnorm.view(float)
     pops = flat * flat
     probs = pops.sum(axis=-1)
     bins = pops[..., ::2] + pops[..., 1::2]
     suspect = ~((probs >= _FULL_PRECISION) & (probs < math.inf))
-    return unnorm, probs, suspect | (bins[..., -1] > 0.5e-6 * bins.max(-1))
+    suspect |= bins[..., -1] > 0.5e-6 * bins.max(-1)
+    overlaps = (bras * flat[:, cols, None]).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fids = (overlaps * overlaps).sum(axis=-1) / probs[:, cols]
+    return probs, fids, suspect[:, cols] | ~np.isfinite(fids)
 
 
 def amplify_coherent(alpha: complex, kind: NlaKind, n_units: int,
@@ -286,7 +280,6 @@ def amplify_coherent(alpha: complex, kind: NlaKind, n_units: int,
     amps = coherent_state(alpha, n_max)
     out, prob, fid = _herald(coeffs, amps)
     if target_gain is not None:     # the target's tail guard comes last
-        beta = _target_sign(kind, n_units) * target_gain * alpha
-        fid = _fidelity(_bra(coherent_state(beta, n_max)),
-                        (coeffs * amps).view(float), prob)
+        bra = _target_bra(kind, n_units, alpha, target_gain, n_max)
+        fid = _herald(coeffs, amps, bra)[2]
     return AmplifyResult(out, prob, fid)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distill import apply_strategy, score_transmissivities
 from .fock import coherent_state
-from .nla import (_bra, _herald, _herald_grid, _integer, _target_sign,
+from .nla import (_herald, _herald_grid, _integer, _target_bra,
                   amplify_coherent, nla_diagonal)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -112,16 +112,13 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
     success_prob)`` or the exception it raised, without its traceback, so a
     caller can report the first failure in its own row order.
 
-    The grid is scored in one batch: the group's diagonals, built in T order
-    up to the first that fails, herald every alpha in one broadcast and give
-    every row's fidelity in one more.  Each row then replays, in T order and
-    with amplify_coherent, whose guards raise in its order, the grid T that
-    may fail for it alone (a failing input or target, or a herald that may
-    trip a guard); no other grid T can.  A row that passes them meets the
-    failing diagonal, if any, next.  It then calls :func:`refine` on its grid
-    values, with one-T :func:`_herald` calls, and takes its herald
-    probability from one more at ``t_star``.  So each row gives the bits and
-    the exception it would give alone.
+    The grid is scored in one :func:`_herald_grid` batch of the group's
+    diagonals, built in T order up to the first that fails.  A row first
+    replays with amplify_coherent, in T order, each grid T where its input,
+    target or herald may trip a guard, so it raises what it raises alone,
+    and then meets the failing diagonal, if any.  It then calls
+    :func:`refine` on its grid values, with one-T :func:`_herald` calls,
+    and takes its herald probability from one more at ``t_star``.
     """
     cfg = config or SweepConfig()
     ts = cfg.t_grid
@@ -134,36 +131,30 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
             break
     alphas = list(dict.fromkeys(a for a, _ in rows))
     cols = [alphas.index(a) for a, _ in rows]
-    fids = doubt = np.zeros((0, len(rows)))
-    if diagonals:
+    # below n_max 0 nothing is batched: each row replays until it fails
+    fids = doubt = np.ones((len(diagonals), len(rows)))
+    if diagonals and n_max >= 0:
+        # zeros where an input fails and NaN where a target does: the row's
+        # herald vanishes or its fidelity is not finite, so it replays
         amps = np.zeros((len(alphas), n_max + 1), dtype=complex)
         bras = np.full((len(rows), 2, 2 * n_max + 2), math.nan)
         for i, alpha in enumerate(alphas):
-            with suppress(Exception):   # zeros: a herald that vanishes
+            with suppress(Exception):
                 amps[i] = coherent_state(alpha, n_max)
         for r, (alpha, gain) in enumerate(rows):
-            with suppress(Exception):   # NaN: a fidelity that is not finite
-                beta = _target_sign(kind, n_units) * gain * alpha
-                bras[r] = _bra(coherent_state(beta, n_max))
-        unnorm, probs, suspect = _herald_grid(np.array(diagonals), amps)
-        # _fidelity of every (grid T, row), its sums formed as there
-        overlaps = (bras * unnorm[:, cols].view(float)[:, :, None]).sum(-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fids = (overlaps * overlaps).sum(axis=-1) / probs[:, cols]
-        doubt = suspect[:, cols] | ~np.isfinite(fids)
+            with suppress(Exception):
+                bras[r] = _target_bra(kind, n_units, alpha, gain, n_max)
+        _, fids, doubt = _herald_grid(np.array(diagonals), amps, bras, cols)
 
     outcomes = []                       # result or exception, per row
     for r, (alpha, gain) in enumerate(rows):
-        def objective(t: float):
-            res = amplify_coherent(alpha, kind, n_units, t, n_max, gain)
-            return _finite(t, res.fidelity)
-
         def score(t: float):
             return _herald(nla_diagonal(kind, n_units, t, n_max), psi, bra)
 
         try:
-            for j in np.flatnonzero(doubt[:, r]):
-                objective(ts[j])
+            for t in ts[np.flatnonzero(doubt[:, r])]:
+                _finite(t, amplify_coherent(alpha, kind, n_units, t, n_max,
+                                            gain).fidelity)
             if failure is not None:
                 raise failure
             psi, bra = amps[cols[r]], bras[r]

@@ -436,10 +436,12 @@ def test_batched_grid_equals_one_t_helper(kind, n_units, alphas, gains,
                               for a in dict.fromkeys(alphas))
               if not isinstance(psi, tuple)]
     # each (grid T, alpha) herald probability is the one-T helper's, bitwise,
-    # and the batch flags every (T, alpha) where the helper raises
+    # and the batch flags every (T, alpha) where the helper raises; a zero
+    # target on each input leaves that flag as the herald's
     if diagonals and inputs:
-        _, probs, suspect = nla._herald_grid(np.array(diagonals),
-                                             np.array(inputs))
+        probs, _, suspect = nla._herald_grid(
+            np.array(diagonals), np.array(inputs),
+            np.zeros((len(inputs), 2, 2 * n_max + 2)), range(len(inputs)))
         for j, diagonal in enumerate(diagonals):
             for i, psi in enumerate(inputs):
                 prob = _guarded(lambda: nla._herald(diagonal, psi)[1])
@@ -469,6 +471,21 @@ def test_batched_grid_equals_one_t_helper(kind, n_units, alphas, gains,
                 [f.hex() for f in one_t]
 
 
+@pytest.mark.parametrize("kind", VALID_KINDS)
+@pytest.mark.parametrize("n_max", (-1, -3))
+def test_max_fidelity_profiles_without_amplitudes_fail_row_by_row(kind,
+                                                                 n_max):
+    # below n_max 0 the diagonals are empty and no amplitude can be built:
+    # each row is still an outcome, the one-T guard it meets alone
+    cfg = SweepConfig(grid_points=5)
+    rows = [(0.3, 1.5), (0.2, 1.2)]
+    outcomes = max_fidelity_profiles(rows, kind, 2, n_max, cfg)
+    for (alpha, gain), outcome in zip(rows, outcomes):
+        with pytest.raises(Exception) as alone:
+            amplify_coherent(alpha, kind, 2, cfg.t_min, n_max, gain)
+        assert (type(outcome), str(outcome)) == (alone.type, str(alone.value))
+
+
 # the per-T arithmetic that the batched grid replaced, kept as the literal
 # reference: a BLAS vdot norm, the overlap with the normalised output, and
 # the guards in amplify_coherent's order
@@ -488,8 +505,8 @@ def literal_amplify(alpha, gain, kind, n_units, t, n_max):
     if nsq > 1.0 + 1e-12:
         raise fock.NormalizationError(f"squared norm {nsq} exceeds 1")
     fock.guard_truncation(np.abs(out) ** 2, what="amplified state")
-    target = coherent_state(nla._target_sign(kind, n_units) * gain * alpha,
-                            n_max)
+    sign = {"QS": 1.0, "PC": -1.0}.get(kind, (-1.0) ** n_units)
+    target = coherent_state(sign * gain * alpha, n_max)
     scale = float(np.abs(target) @ np.abs(unnorm)) ** 2 / prob
     return [float(abs(np.vdot(target, out)) ** 2), prob, scale]
 
