@@ -447,7 +447,8 @@ def _dev_nsplitter():
 
 
 def _dev_beam_splitter():
-    for s, b in enumerate(fock.beam_splitter_unitary(0.37, 8)):
+    from . import oracle
+    for s, b in enumerate(oracle.beam_splitter_unitary(0.37, 8)):
         yield b @ b.T - np.eye(s + 1)
 
 

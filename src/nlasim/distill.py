@@ -22,6 +22,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import fock
 from .fock import (NormalizationError, guard_truncation, squeezing_from_db,
                    tmsv_schmidt)
 from .nla import NlaKind, _integer, _passive_diagonal, nla_diagonal
@@ -266,7 +267,7 @@ def score_transmissivities(lossy: np.ndarray, kind: NlaKind, n_units: int,
         # half the guard's ratio; the guards themselves then decide
         suspect = ~(p > 0.0)
         for pop in arms:
-            suspect |= pop[..., -1] > 0.5e-6 * pop.max(axis=-1)
+            suspect |= pop[..., -1] > 0.5 * fock._TOP_BIN_RATIO * pop.max(-1)
         for t in np.flatnonzero(suspect.any(axis=1)):
             for h, i in enumerate(heralded):
                 if p[t, h] <= 0.0:

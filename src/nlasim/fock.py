@@ -1,9 +1,9 @@
 """Truncated-Fock-space kernel.
 
-States, diagonal operators, beam-splitter unitaries, pure-loss channels,
-partial transposition and the negativity-based entanglement measures.  The
-bipartite density code is the dense reference for the photon-number-graded
-kernel of :mod:`nlasim.distill`; as there, loss and diagonals act on arm B.
+States, diagonal operators, pure-loss channels, partial transposition and
+the negativity-based entanglement measures.  The bipartite density code is
+the dense reference for the photon-number-graded kernel of
+:mod:`nlasim.distill`; as there, loss and diagonals act on arm B.
 
 Conventions
 -----------
@@ -35,6 +35,9 @@ SQUEEZING_DB_PER_UNIT = 20.0 / math.log(10.0)
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
+# guard_truncation's top-bin limit, as a share of the peak bin; the batched
+# screens in distill and nla read it at call time
+_TOP_BIN_RATIO = 1e-6
 
 
 class TruncationError(ValueError):
@@ -60,7 +63,8 @@ def squeezing_to_db(r: float) -> float:
 
 
 def guard_truncation(populations: np.ndarray, what: str = "state") -> None:
-    """Raise if the top Fock bin holds more than 1e-6 of the peak bin.
+    """Raise if the top Fock bin holds more than _TOP_BIN_RATIO (1e-6) of
+    the peak bin.
 
     Post-hoc guard against silently truncated output states; ``populations``
     is any non-negative per-bin weight vector (|amps|^2 or diagonal of a
@@ -73,10 +77,10 @@ def guard_truncation(populations: np.ndarray, what: str = "state") -> None:
                          f"{peak}")
     if peak <= 0.0:
         return
-    if pops[-1] > 1e-6 * peak:
+    if pops[-1] > _TOP_BIN_RATIO * peak:
         raise TruncationError(
             f"{what}: top-bin population {pops[-1]:.3e} exceeds "
-            f"1e-06 of the peak bin {peak:.3e}; increase n_max")
+            f"{_TOP_BIN_RATIO} of the peak bin {peak:.3e}; increase n_max")
 
 
 def vacuum_projection_diagonal(n_max: int) -> np.ndarray:
@@ -202,34 +206,6 @@ def tmsv_density(r: float, n_max: int,
     vec[np.arange(dim) * dim + np.arange(dim)] = c
     vec /= np.linalg.norm(vec)
     return BipartiteDensity(np.outer(vec, vec.conj()))
-
-
-def beam_splitter_unitary(transmissivity: float, n_total_max: int) -> tuple:
-    """Two-mode beam-splitter unitary as its total-photon-number blocks.
-
-    Generator exp[theta (x^dag y - x y^dag)] with cos(theta) = sqrt(T) for the
-    ordered mode pair (x, y).  Block ``s``, for s = 0..n_total_max, acts on
-    {|s-j, j> : j = 0..s} where ``j`` counts photons in the second mode.
-    """
-    if not 0.0 < transmissivity < 1.0:
-        raise ValueError("transmissivity must lie strictly in (0, 1)")
-    theta = math.acos(math.sqrt(transmissivity))
-    blocks = []
-    for s in range(n_total_max + 1):
-        gen = np.zeros((s + 1, s + 1))
-        for j in range(s + 1):
-            # x^dag y : |s-j, j> -> |s-j+1, j-1>
-            if j >= 1:
-                gen[j - 1, j] += theta * math.sqrt(j * (s - j + 1))
-            # x y^dag : |s-j, j> -> |s-j-1, j+1>
-            if j <= s - 1:
-                gen[j + 1, j] -= theta * math.sqrt((s - j) * (j + 1))
-        # exp(gen) from the eigenbasis of the Hermitian 1j * gen
-        w, v = np.linalg.eigh(1j * gen)
-        block = ((v * np.exp(-1j * w)) @ v.conj().T).real
-        block.setflags(write=False)
-        blocks.append(block)
-    return tuple(blocks)
 
 
 def loss_kraus_operators(eta: float, n_max: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import fock
 from .fock import (NormalizationError, attenuator_diagonal, coherent_state,
                    guard_truncation, vacuum_projection_diagonal)
 
@@ -202,12 +203,6 @@ def _passive_diagonal(kind: NlaKind, n_units: int, transmissivity: float,
     return unit ** n_units
 
 
-def fidelity_to_coherent(amps: np.ndarray, beta: complex) -> float:
-    """|<beta|psi>|^2 against a coherent state representable at psi's cutoff."""
-    target = coherent_state(beta, amps.size - 1)
-    return float(abs(np.vdot(target, amps)) ** 2)
-
-
 def _target_bra(kind: NlaKind, n_units: int, alpha: complex, gain: float,
                 n_max: int) -> np.ndarray:
     """Float rows whose products with psi's float view sum to the real and
@@ -259,7 +254,7 @@ def _herald_grid(coeffs: np.ndarray, amps: np.ndarray, bras, cols):
     probs = pops.sum(axis=-1)
     bins = pops[..., ::2] + pops[..., 1::2]
     suspect = ~((probs >= _FULL_PRECISION) & (probs < math.inf))
-    suspect |= bins[..., -1] > 0.5e-6 * bins.max(-1)
+    suspect |= bins[..., -1] > 0.5 * fock._TOP_BIN_RATIO * bins.max(-1)
     overlaps = (bras * flat[:, cols, None]).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         fids = (overlaps * overlaps).sum(axis=-1) / probs[:, cols]

