@@ -112,9 +112,9 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
     success_prob)`` or the exception it raised, without its traceback, so a
     caller can report the first failure in its own row order.
 
-    A row's input and target do not depend on T, so a row where either
-    fails takes the outcome ``amplify_coherent`` gives it at the first grid
-    T.  The grid of the other (live) rows is one :func:`_herald_grid` batch
+    A row's input and target do not depend on T: a row where either fails
+    takes the outcome of its objective, ``amplify_coherent``'s fidelity, at
+    the first grid T.  The grid of the other (live) rows is one :func:`_herald_grid` batch
     of the diagonals, built in T order up to the first that fails.  A live
     row replays each grid T where a guard may trip, in T order, with the
     one-T :func:`_herald` that scores its :func:`refine` steps and
@@ -152,7 +152,8 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
 
         try:
             if r not in live:           # fails at every T, so at the first
-                amplify_coherent(alpha, kind, n_units, ts[0], n_max, gain)
+                _finite(ts[0], amplify_coherent(alpha, kind, n_units, ts[0],
+                                                n_max, gain).fidelity)
             c = columns.index(r)
             for t in ts[np.flatnonzero(doubt[:, c])]:
                 objective(t)

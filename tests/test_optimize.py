@@ -535,6 +535,16 @@ def test_max_fidelity_profiles_dead_row_next_to_a_live_row(monkeypatch):
     assert np.array(live).tobytes() == np.array(alone).tobytes()
 
 
+def test_max_fidelity_profiles_row_without_gain_has_no_float_fidelity():
+    # no target is built without a gain, and amplify_coherent then reports
+    # no fidelity: the row fails where its fidelity is read as a float
+    (outcome,) = max_fidelity_profiles([(0.3, None)], "QS", 1, 10,
+                                       SweepConfig(grid_points=8))
+    with pytest.raises(TypeError) as alone:
+        float(amplify_coherent(0.3, "QS", 1, 1e-4, 10).fidelity)
+    assert (type(outcome), str(outcome)) == (alone.type, str(alone.value))
+
+
 # the per-T arithmetic that the batched grid replaced, kept as the literal
 # reference: a BLAS vdot norm, the overlap with the normalised output, and
 # the guards in amplify_coherent's order
