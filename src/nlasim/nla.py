@@ -15,16 +15,18 @@ operator is the 1-d float array of its coefficients d_0 .. d_n_max:
 The alternating sums in the parallel-catalysis coefficients are formed as one
 exact integer numerator over one integer denominator and rounded once, so no
 catastrophic cancellation occurs anywhere in the supported parameter range.
-All numerators share one denominator and march up the Fock index from the
-forward differences of the sum at n = 0, by integer additions alone, so no
-integer product is formed per Fock index.  Each quotient is the same
-rational as that of the per-n sum, so it rounds to the same float.
+All numerators share one denominator and are built from the forward
+differences of the sum at n = 0, one running-sum pass per difference order,
+by integer additions alone, so no integer product is formed per Fock index.
+Each quotient is the same rational as that of the per-n sum, so it rounds to
+the same float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Literal
 
 import numpy as np
@@ -135,8 +137,10 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     with integer weights w_j = C(N,j) q^j (M N)^(top-j).  Terms with j > n
     vanish, so for n < top this is the sum over j <= n written over
     (M N)^n, scaled top and bottom by (M N)^(top-n): the same rational.
-    The k-th forward difference of P at n = 0 is k! w_k, so the numerators
-    P(0), P(1), ... follow from those top + 1 integers by additions alone.
+    The k-th forward difference D_k(n) of P is k! w_k at n = 0 and obeys
+    D_k(n + 1) = D_k(n) + D_{k+1}(n) with D_top constant, so each D_k is a
+    running sum of D_{k+1}: top passes of ``accumulate``, from D_top down,
+    give the numerators P(n) = D_0(n) by integer additions alone.
     Python's int/int division rounds a rational once, correctly, whatever
     denominator it is written over, so every float is that of the n-term
     sum and analytic zeros are exact zeros.  A quotient past the float
@@ -156,14 +160,15 @@ def pc_nla_diagonal(n_units: int, transmissivity: float,
     top = min(n_units, n_max)
     diffs = [math.perm(n_units, k) * q ** k * mn ** (top - k)
              for k in range(top + 1)]
+    nums = [diffs[top]] * (n_max + 1)
+    for diff in reversed(diffs[:-1]):   # D_k(n + 1) = D_k(n) + D_k+1(n)
+        nums = list(accumulate(nums[:-1], initial=diff))
     den = mn ** top
     root_t = math.sqrt(t)
     coeffs = []
     try:
-        for n in range(n_max + 1):
-            coeffs.append(root_t ** (n_units + n) * (diffs[0] / den))
-            for k in range(top):
-                diffs[k] += diffs[k + 1]
+        for n, num in enumerate(nums):
+            coeffs.append(root_t ** (n_units + n) * (num / den))
     except OverflowError as exc:
         raise OverflowError(
             f"catalysis sum with N={n_units} units at T={t:.6g} exceeds "

@@ -1,10 +1,11 @@
 """Scalar searches over the amplifier transmissivity.
 
 All searches are deterministic: each samples a fixed coarse grid, then
-:func:`refine` golden-sections around its first maximum, and a search that
-reports more than the objective evaluates once more at the optimum.  The
-optimum is never worse than any point evaluated; ties break toward the lowest
-transmissivity.
+:func:`refine` runs bounded Brent steps around its first maximum, and a
+search that reports more than the objective evaluates once more at the
+optimum.  The optimum is never worse than any point evaluated; ties break
+toward the grid's first maximum, the lowest transmissivity among equal grid
+values.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .fock import coherent_state
 from .nla import (_herald, _herald_grid, _integer, _target_bra,
                   amplify_coherent, nla_diagonal)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0     # 1 - 1/phi
 
 
 @dataclass(frozen=True)
@@ -57,42 +58,62 @@ def _finite(t: float, v) -> float:
 
 
 def refine(objective, values, config: SweepConfig):
-    """Golden-section search between the grid neighbours of the first
-    maximum of ``values``, the objective's values on ``config.t_grid``.
+    """Bounded Brent search (parabolic steps with a golden-section fallback;
+    R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5) between the grid neighbours of the first maximum of ``values``,
+    the objective's values on ``config.t_grid``.
 
-    Returns ``(t_star, value_star)``; the value is at least as good as every
-    grid sample.  Refinement stops at ``refine_tolerance`` or where the
-    bracket stops shrinking, its ends adjacent floats, whichever comes first.
+    Returns ``(t_star, value_star)``, the first best of that grid maximum
+    and every point evaluated.  Refinement stops once the bracket is within
+    ``refine_tolerance`` or stops shrinking, its ends adjacent floats.
     """
     ts = config.t_grid
     i = int(np.argmax(values))          # first max -> lowest-T tie-break
     best_t, best_v = float(ts[i]), float(values[i])
 
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, len(ts) - 1)])
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = objective(c), objective(d)
+    a = float(ts[max(i - 1, 0)])
+    b = float(ts[min(i + 1, len(ts) - 1)])
+    tol1 = config.refine_tolerance / 4  # stops with b - a <= 4 tol1
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = objective(x)
+    d = e = 0.0
     width = math.inf
-    while width > b - a > config.refine_tolerance:
-        width = b - a
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = objective(c)
+    while True:
+        xm = 0.5 * (a + b)
+        if abs(x - xm) <= 2 * tol1 - 0.5 * (b - a) or not b - a < width:
+            break
+        width, golden = b - a, True
+        if abs(e) > tol1:   # parabola through x, w, v from value differences
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d, golden = d, p / q, False
+                if min(x + d - a, b - (x + d)) < 2 * tol1:
+                    d = math.copysign(tol1, xm - x)
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = objective(u)
+        if fu > fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = objective(d)
-    for t, v in ((c, fc), (d, fd)):
-        if v > best_v:
-            best_t, best_v = float(t), float(v)
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
+    if fx > best_v:
+        best_t, best_v = float(x), float(fx)
     return best_t, best_v
 
 
 def maximize_over_T(objective, config: SweepConfig | None = None):
-    """Coarse grid plus golden-section refinement of a scalar objective:
+    """Coarse grid plus bounded Brent refinement of a scalar objective:
     :func:`refine` on its samples of ``config.t_grid``, taken in order.
     """
     cfg = config or SweepConfig()
@@ -114,11 +135,12 @@ def max_fidelity_profiles(rows, kind: str, n_units: int, n_max: int = 30,
 
     A row's input and target do not depend on T: a row where either fails
     takes the outcome of its objective, ``amplify_coherent``'s fidelity, at
-    the first grid T.  The grid of the other (live) rows is one :func:`_herald_grid` batch
-    of the diagonals, built in T order up to the first that fails.  A live
-    row replays each grid T where a guard may trip, in T order, with the
-    one-T :func:`_herald` that scores its :func:`refine` steps and
-    ``t_star``, and then meets the failing diagonal, if any.
+    the first grid T.  The grid of the other (live) rows is one
+    :func:`_herald_grid` batch of the diagonals, built in T order up to the
+    first that fails.  A live row replays each grid T where a guard may
+    trip, in T order, with the one-T :func:`_herald` that scores its
+    :func:`refine` steps and ``t_star``, and then meets the failing
+    diagonal, if any.
     """
     cfg = config or SweepConfig()
     ts = cfg.t_grid
@@ -190,7 +212,7 @@ def maximize_total_logneg(lossy: np.ndarray, kind: str, n_units: int,
 
     ``lossy`` is the stack from :func:`lossy_pdc_densities`.  Returns
     ``(t_star, result)``: one :func:`score_transmissivities` call scores the
-    coarse grid, :func:`refine` golden-sections the total log-negativity with
+    coarse grid, :func:`refine` maximises the total log-negativity with
     one-T :func:`apply_strategy` calls, and one more call at ``t_star``
     gives the :class:`DistillResult`.
     """

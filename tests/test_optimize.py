@@ -121,6 +121,56 @@ def test_refine_on_grid_values_matches_maximize_over_T(objectives, cfg,
             np.array(record[cfg.grid_points:]).tobytes()
 
 
+# single-peak shapes, each maximal at t = c and strictly falling either side
+PEAKS = {"abs^1.5": lambda t, c: -abs(t - c) ** 1.5,
+         "quadratic": lambda t, c: -(t - c) ** 2,
+         "quartic": lambda t, c: -(t - c) ** 4,
+         "gaussian": lambda t, c: math.exp(-((t - c) / 0.05) ** 2)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shape=st.sampled_from(sorted(PEAKS)),
+       c=st.floats(0.01, 0.99),
+       cfg=st.builds(SweepConfig, grid_points=st.integers(4, 80),
+                     refine_tolerance=st.floats(1e-7, 1e-2)))
+def test_single_peak_found_within_tolerance(shape, c, cfg):
+    # the grid neighbours of the first grid maximum bracket a single peak,
+    # and the bracket refine stops on is at most refine_tolerance wide
+    t_star, _ = maximize_over_T(lambda t: PEAKS[shape](t, c), cfg)
+    assert abs(t_star - c) <= cfg.refine_tolerance
+
+
+@pytest.mark.parametrize("c, tolerance", ((0.3, 1e-6), (0.04, 1e-6),
+                                          (0.77, 1e-4), (0.5, 1e-9)))
+def test_quadratic_takes_fewer_calls_than_golden_section(c, tolerance):
+    # golden-section shrinks the bracket by 0.618 a call; parabolic steps
+    # land on a quadratic's peak in a few
+    cfg = SweepConfig(grid_points=40, refine_tolerance=tolerance)
+    ts = cfg.t_grid
+    values = [-(t - c) ** 2 for t in ts]
+    i = int(np.argmax(values))
+    width = ts[i + 1] - ts[i - 1]
+    golden = math.ceil(math.log(tolerance / width) / math.log(0.618)) + 1
+    record = []
+    t_star, _ = optimize.refine(
+        _recorded(lambda t: -(t - c) ** 2, record), values, cfg)
+    assert len(record) < golden
+    assert abs(t_star - c) <= tolerance
+
+
+def test_constant_objective_keeps_the_lowest_grid_t():
+    assert maximize_over_T(lambda t: 0.25, FAST) == (FAST.t_min, 0.25)
+
+
+@pytest.mark.parametrize("objective", (lambda t: t,
+                                       lambda t: -(t - 1.5) ** 2))
+def test_peak_at_t_max_returns_its_grid_value(objective):
+    # the PC amplifier best switched off: refine evaluates inside the last
+    # cell only, so the grid's own t_max sample wins
+    t_star, v_star = maximize_over_T(objective, FAST)
+    assert (t_star, v_star) == (FAST.t_max, objective(FAST.t_max))
+
+
 def test_record_collects_all_evaluations():
     record = []
     maximize_over_T(_recorded(lambda t: t * (1 - t), record), FAST)
